@@ -5,10 +5,13 @@ variables: the coefficient of subset S is the mixed partial of the
 computed quantity with respect to the variables in S, each variable
 differentiated exactly once (the empty-set coefficient is the plain
 value).  Multiplication follows the Leibniz rule, which on the subset
-lattice is a convolution over complementary submask pairs, and applying
-an elementary scalar function follows the chain rule summed over set
-partitions of each subset.  Both rules are closed on the lattice
-precisely because no variable is ever differentiated twice.
+lattice is a convolution over complementary submask pairs.  Applying an
+elementary scalar function follows the chain rule (Faa di Bruno on set
+partitions), evaluated as a recurrence over submasks: the coefficients
+of f^(j)(g) on a subset S sum, over the blocks B of S holding S's lowest
+tag, g[B] times the coefficients of f^(j+1)(g) on S minus B.  Both rules
+are closed on the lattice precisely because no variable is ever
+differentiated twice.
 
 The module also hosts the ordinary-derivative tables of the elementary
 functions (ElementaryTable) and two entry points used throughout the
@@ -34,6 +37,7 @@ from scipy import special
 MAX_TAGS = 8
 
 _SQRT2 = math.sqrt(2.0)
+_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 _ASIN_CLAMP = 1.0 - 1e-9
 
 
@@ -81,26 +85,22 @@ def _submask_pairs(t: int):
     return pairs
 
 
-def _set_partitions(bits: tuple[int, ...]):
-    """Yield set partitions of ``bits``; each block is encoded as a bitmask."""
-    if not bits:
-        yield ()
-        return
-    first, rest = bits[0], bits[1:]
-    for part in _set_partitions(rest):
-        for i in range(len(part)):
-            yield part[:i] + (part[i] | 1 << first,) + part[i + 1 :]
-        yield part + (1 << first,)
-
-
 @lru_cache(maxsize=None)
-def _partitions(t: int):
-    """Per mask S, the list of (block count, block masks) over partitions of S."""
-    table = []
-    for s in range(1 << t):
-        bits = tuple(i for i in range(t) if s >> i & 1)
-        table.append(tuple((len(p), p) for p in _set_partitions(bits)))
-    return table
+def _chain_pairs(t: int):
+    """Per level j = 0..t, per nonempty mask S over tags j..t-1 (in order of
+    S >> j), the index arrays (B, (S ^ B) >> (j + 1)) over the submasks B
+    of S that hold S's lowest tag."""
+    pairs = _submask_pairs(t)
+    levels = []
+    for j in range(t + 1):
+        rows = []
+        for k in range(1, 1 << (t - j)):
+            s = k << j
+            low = s & -s
+            a, rest = pairs[s ^ low]
+            rows.append((a | low, rest >> (j + 1)))
+        levels.append(rows)
+    return levels
 
 
 def lattice_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
@@ -116,22 +116,28 @@ def lattice_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
 
 
 def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarray:
-    """Chain rule: coefficients of table(g) from the coefficients of g."""
+    """Chain rule: coefficients of table(g) from the coefficients of g.
+
+    Level j holds the coefficients of f^(j)(g) over the masks S of tags
+    j..t-1, at index S >> j.  Its empty slot is f^(j)(g_0); a nonempty S
+    whose lowest tag is i sums g[B] * level_{j+1}[S ^ B] over the submasks
+    B of S that hold i.  Level t is f^(t)(g_0) alone and level 0 is the
+    result; two levels are alive at a time.
+    """
     x0 = g[..., 0]
     table.check(x0)
     deriv = table.series(t, x0)
-    out = np.empty_like(g, dtype=np.float64)
-    out[..., 0] = deriv[0]
-    parts = _partitions(t)
-    for s in range(1, 1 << t):
-        acc = np.zeros_like(x0, dtype=np.float64)
-        for m, blocks in parts[s]:
-            term = deriv[m]
-            for blk in blocks:
-                term = term * g[..., blk]
-            acc = acc + term
-        out[..., s] = acc
-    return out
+    # Subset axis first, so that each gather takes whole contiguous rows.
+    gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
+    chain = _chain_pairs(t)
+    below = None
+    for j in range(t, -1, -1):
+        level = np.empty((1 << (t - j), gt.shape[1]), dtype=np.float64)
+        level[0] = np.reshape(deriv[j], -1)
+        for k, (ib, ir) in enumerate(chain[j], start=1):
+            np.sum(gt[ib] * below[ir], axis=0, out=level[k])
+        below = level
+    return np.ascontiguousarray(np.moveaxis(below.reshape(g.shape[-1:] + x0.shape), 0, -1))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +239,15 @@ _ERF_POLY = _poly_ladder(
 )
 
 
+# Probabilists' Hermite polynomials He_0..He_MAX_TAGS: He_{m+1} = x He_m - He_m'
+_HERMITE = _poly_ladder([0, 1], lambda c, m: npoly.polysub(npoly.polymul(_X, c), npoly.polyder(c)))
+_HERMITE[0] = np.ones(1)
+# d^m gelu = G_m(x) phi(x) for m >= 2, with G_m = (-1)^(m+1) (He_m - He_{m-2})
+_GELU_POLY = [None, None] + [
+    (-1.0) ** (m + 1) * npoly.polysub(_HERMITE[m], _HERMITE[m - 2]) for m in range(2, MAX_TAGS + 1)
+]
+
+
 def _exp_series(k, x):
     e = np.exp(x)
     return [e] * (k + 1)
@@ -317,6 +332,17 @@ def _erf_series(k, x):
     return vals
 
 
+def _gelu_series(k, x):
+    e = 1.0 + special.erf(x / _SQRT2)
+    vals = [0.5 * x * e]  # also the plain activation, so lattice and plain values agree bit for bit
+    if k >= 1:
+        phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
+        vals.append(0.5 * e + x * phi)
+        for m in range(2, k + 1):
+            vals.append(npoly.polyval(x, _GELU_POLY[m]) * phi)
+    return vals
+
+
 def _abs_series(k, x):
     # Subgradient convention: derivative 0 at the kink, all higher orders 0.
     vals = [np.abs(x)]
@@ -361,6 +387,7 @@ ARCSIN = ElementaryTable("arcsin", _arcsin_series, _check_unit_interval("arcsin"
 ARCCOS = ElementaryTable("arccos", _arccos_series, _check_unit_interval("arccos"))
 ARCTAN = ElementaryTable("arctan", _arctan_series)
 ERF = ElementaryTable("erf", _erf_series)
+GELU = ElementaryTable("gelu", _gelu_series)
 ABS = ElementaryTable("abs", _abs_series)
 SIGMOID = ElementaryTable("sigmoid", _sigmoid_series)
 SOFTPLUS = ElementaryTable("softplus", _softplus_series)
@@ -400,16 +427,6 @@ def max_const_table(c: float) -> ElementaryTable:
         return vals
 
     return ElementaryTable(f"max[{c!r}]", series)
-
-
-#: Fixed tables by name; power and max-with-constant are parametrized factories.
-TABLES = {
-    t.name: t
-    for t in (
-        EXP, LOG, SIN, COS, TAN, SINH, TANH, ARCSIN, ARCCOS, ARCTAN,
-        SQRT, ABS, ERF, SIGMOID, SOFTPLUS, RECIPROCAL,
-    )
-}
 
 
 # ---------------------------------------------------------------------------
@@ -566,31 +583,10 @@ class CrossDual:
 
 
 def compose(u: ElementaryTable, g: CrossDual) -> CrossDual:
-    """Coefficients of u(g) by the chain rule over set partitions."""
+    """Coefficients of u(g) by the chain rule (see lattice_compose)."""
     if not isinstance(g, CrossDual):
         return u.derivs(0, g)
     return CrossDual(g.ntags, lattice_compose(u, g.coeffs, g.ntags))
-
-
-def mul(a, b):
-    """Leibniz product (operator form: ``a * b``)."""
-    return a * b
-
-
-def add(a, b):
-    return a + b
-
-
-def sub(a, b):
-    return a - b
-
-
-def div(a, b):
-    return a / b
-
-
-def neg(a):
-    return -a
 
 
 # Scalar math that dispatches on CrossDual versus plain numbers, so the
@@ -677,7 +673,7 @@ def maximum(x, c: float):
     """max(x, c) with subderivative 0 at the kink."""
     if isinstance(x, CrossDual):
         return compose(max_const_table(float(c)), x)
-    return x if x > c else type(x)(c)
+    return x if x > c else c
 
 
 # ---------------------------------------------------------------------------
@@ -716,11 +712,12 @@ def cross_partial(f: Callable, point: Sequence[float], indices: Iterable[int]) -
     must return a scalar; a plain-number return means f ignored every
     tagged coordinate, so the mixed partial is zero.
     """
+    indices = list(indices)
     duals = seed(point, indices)
     y = f(duals)
     if isinstance(y, CrossDual):
         return float(y.coeffs[-1])
-    if len(set(indices)) == 0:
+    if not indices:
         return float(y)
     return 0.0
 

@@ -14,6 +14,7 @@ from xdiff.autodiff import (
     TagMismatchError,
     cross_partial,
     fd_oracle,
+    lattice_compose,
     lattice_mul,
     power_table,
     seed,
@@ -35,6 +36,7 @@ TABLE_POINTS = [
     (ad.ARCCOS, -0.2),
     (ad.ARCTAN, 1.1),
     (ad.ERF, 0.6),
+    (ad.GELU, -0.7),
     (ad.SIGMOID, -0.5),
     (ad.SOFTPLUS, 0.9),
     (ad.SQRT, 1.3),
@@ -107,6 +109,8 @@ def test_untagged_result_is_zero_partial():
     # f ignores the tagged coordinate entirely, returning a plain float
     f = lambda x: 42.0
     assert cross_partial(f, [1.0, 2.0], (0, 1)) == 0.0
+    # a one-shot iterable of indices is read once, not once per use
+    assert cross_partial(f, [1.0, 2.0], (i for i in (0, 1))) == 0.0
 
 
 def test_duplicate_indices_collapse():
@@ -244,13 +248,80 @@ def test_lattice_compose_batched_matches_scalar():
     t = 3
     g = rng.normal(size=(6, 1 << t))
     g[:, 0] = np.abs(g[:, 0]) + 0.5  # keep log in-domain
-    from xdiff.autodiff import lattice_compose
-
     batched = lattice_compose(ad.LOG, g, t)
     for i in range(6):
         np.testing.assert_allclose(
             batched[i], ad.log(CrossDual(t, g[i])).coeffs, rtol=1e-12
         )
+
+
+# --- lattice_compose against the chain rule written out over set partitions
+# (Faa di Bruno: the coefficient of S sums f^(|pi|)(g_0) * prod_{B in pi} g[B]
+# over the set partitions pi of S), a reference independent of its recurrence
+
+
+def _set_partitions(bits):
+    """Yield the set partitions of ``bits``; each block is a bitmask."""
+    if not bits:
+        yield ()
+        return
+    first, rest = bits[0], bits[1:]
+    for part in _set_partitions(rest):
+        for i in range(len(part)):
+            yield part[:i] + (part[i] | 1 << first,) + part[i + 1 :]
+        yield part + (1 << first,)
+
+
+def _compose_by_partitions(table, g, t):
+    deriv = table.series(t, g[..., 0])
+    out = np.empty_like(g)
+    out[..., 0] = deriv[0]
+    for s in range(1, 1 << t):
+        acc = 0.0
+        for part in _set_partitions(tuple(i for i in range(t) if s >> i & 1)):
+            term = deriv[len(part)]
+            for blk in part:
+                term = term * g[..., blk]
+            acc = acc + term
+        out[..., s] = acc
+    return out
+
+
+def _assert_lattice_close(got, want):
+    # the two sum the same terms in different orders: a few hundred ulps of
+    # the largest coefficient
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13 * np.abs(want).max())
+
+
+def _random_lattice(rng, x0, t):
+    g = rng.normal(size=(3, 2, 1 << t))
+    g[..., 0] = x0 + 0.05 * rng.uniform(-1.0, 1.0, size=(3, 2))
+    return g
+
+
+@pytest.mark.parametrize("table,x0", TABLE_POINTS, ids=lambda v: getattr(v, "name", v))
+def test_lattice_compose_matches_set_partition_sum(table, x0):
+    rng = np.random.default_rng(12)
+    for t in range(1, 7):
+        g = _random_lattice(rng, x0, t)
+        _assert_lattice_close(lattice_compose(table, g, t), _compose_by_partitions(table, g, t))
+
+
+def test_lattice_compose_matches_set_partition_sum_at_eight_tags():
+    g = _random_lattice(np.random.default_rng(13), -0.7, MAX_TAGS)
+    _assert_lattice_close(
+        lattice_compose(ad.GELU, g, MAX_TAGS), _compose_by_partitions(ad.GELU, g, MAX_TAGS)
+    )
+
+
+def test_gelu_table_matches_erf_construction():
+    """GELU(z) = 0.5 z (1 + erf(z / sqrt 2)), composed and multiplied on the lattice."""
+    rng = np.random.default_rng(14)
+    for t in range(MAX_TAGS + 1):
+        z = rng.normal(size=(4, 3, 1 << t))
+        e = lattice_compose(ad.ERF, z / math.sqrt(2.0), t)
+        e[..., 0] += 1.0
+        _assert_lattice_close(lattice_compose(ad.GELU, z, t), 0.5 * lattice_mul(z, e, t))
 
 
 # --- error surfaces
@@ -302,6 +373,12 @@ def test_maximum_kink_has_zero_slope():
     assert y.partial((0,)) == 0.0
     above = ad.maximum(CrossDual.variable(0.5, 0, 1), 0.0)
     assert above.partial((0,)) == 1.0
+
+
+def test_maximum_of_plain_numbers_keeps_the_larger_value():
+    assert ad.maximum(-1, 0.5) == 0.5
+    assert ad.maximum(2, 0.5) == 2
+    assert ad.maximum(-3.0, -2.5) == -2.5
 
 
 def test_seed_layout():

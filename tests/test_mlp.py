@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy import special
 
 from xdiff.autodiff import CrossDual
 from xdiff.mlp import (
@@ -80,6 +81,12 @@ def test_gelu_values():
     assert gelu(0.0) == 0.0
     assert float(gelu(10.0)) == pytest.approx(10.0, abs=1e-8)
     assert float(gelu(-10.0)) == pytest.approx(0.0, abs=1e-8)
+
+
+def test_gelu_is_the_exact_erf_expression():
+    # train's activations and the lattice value slot both read this, bit for bit
+    xs = np.linspace(-4.0, 4.0, 101)
+    np.testing.assert_array_equal(gelu(xs), 0.5 * xs * (1.0 + special.erf(xs / math.sqrt(2.0))))
 
 
 def test_gelu_derivative_at_zero_is_half():
@@ -317,3 +324,22 @@ def test_csv_rejects_missing_or_misplaced_targets(tmp_path):
 def test_dataset_rejects_nan():
     with pytest.raises(ValueError):
         Dataset(np.array([[np.nan]]), np.array([[1.0]]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_dataset_rejects_non_finite_naming_the_cell(bad):
+    feats = np.ones((3, 4))
+    feats[2, 1] = bad
+    with pytest.raises(ValueError, match=r"features .* at row 2, column 1"):
+        Dataset(feats, np.zeros(3))
+    targets = np.zeros((3, 2))
+    targets[1, 0] = bad
+    with pytest.raises(ValueError, match=r"targets .* at row 1, column 0"):
+        Dataset(np.ones((3, 4)), targets)
+
+
+def test_csv_with_inf_is_rejected_at_load(tmp_path):
+    path = tmp_path / "inf.csv"
+    path.write_text("x1,x2,y\n1.0,2.0,0.5\n3.0,inf,0.1\n")
+    with pytest.raises(ValueError, match=r"non-finite value, inf, at row 1, column 1"):
+        load_csv(path)
