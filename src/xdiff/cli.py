@@ -7,7 +7,8 @@ through deterministic serializers, so a run is reproducible byte for
 byte from (flags, seed); thread count never changes output bytes and is
 therefore left out of the config echo.
 
-Exit codes: 0 success, 1 configuration or domain error, 2 I/O error.
+Exit codes: 0 success, 1 configuration, domain or any other error, 2 I/O
+error, 130 interrupted.  run.json always ends as ok or error.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ import json
 import logging
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -213,13 +213,6 @@ def _normalized_input(model, norm: Normalizer | None, data: Dataset) -> Dataset:
     return normalize(data)
 
 
-def _parallel_map(fn, items, threads: int):
-    if threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, items))
-    return [fn(x) for x in items]
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -321,7 +314,6 @@ def _cmd_suite(args, run: Run) -> None:
         trials=args.trials,
         samples=args.samples,
         seed=args.seed,
-        threads=args.threads,
     )
     out = _out_path(args, args.out)
     _write_csv(out, ("id", "mean_auc", "std"), report.rows())
@@ -348,7 +340,7 @@ def _cmd_cam(args, run: Run) -> None:
             norm.apply(grid.x.reshape(-1)).reshape(grid.x.shape), layout
         )
     opts = _cam_options(args)
-    tensor = taylor_cam(model, grid, args.order, opts, threads=args.threads)
+    tensor = taylor_cam(model, grid, args.order, opts)
     out = _out_path(args, args.out)
     _write_json(out, salience_document(tensor, opts, args.top))
     run.artifact(out)
@@ -395,7 +387,7 @@ def _demo_trial(seed: int, args, out_dir: Path) -> dict:
 def _cmd_cam_demo(args, run: Run) -> None:
     out_dir = Path(args.out_dir)
     seeds = [args.seed + i for i in range(args.seeds)]
-    trials = _parallel_map(lambda s: _demo_trial(s, args, out_dir), seeds, args.threads)
+    trials = [_demo_trial(s, args, out_dir) for s in seeds]
     hits = sum(t["hit"] for t in trials)
     log.info("cam-demo: %d/%d planted pairs recovered", hits, len(trials))
     doc = {
@@ -421,7 +413,8 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None,
                         help="base RNG seed (default: XDIFF_SEED env var, else 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="worker threads; never changes output bytes")
+                        help="threads scoring representatives in detect and sweep; "
+                             "ignored elsewhere; never changes output bytes")
     common.add_argument("--out-dir", default=".", help="directory for artifacts and run.json")
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))
@@ -556,10 +549,15 @@ def main(argv=None) -> int:
         run.finish("error", str(e))
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (CliError, ValueError, KeyError, TypeError, RuntimeError) as e:
+    except Exception as e:
+        log.debug("%s failed", args.subcommand, exc_info=True)
         run.finish("error", str(e))
         print(f"error: {e}", file=sys.stderr)
         return 1
+    except KeyboardInterrupt:
+        run.finish("error", "interrupted")
+        print("error: interrupted", file=sys.stderr)
+        return 130
     run.finish("ok")
     return 0
 

@@ -16,9 +16,9 @@ are plugged in directly.
 
 from __future__ import annotations
 
+import concurrent.futures
 import logging
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
@@ -188,9 +188,11 @@ class _ModelEvaluator:
     """Scores every same-order candidate at a row in one batched lattice
     forward pass; row b of the batch carries candidate b's tags."""
 
-    def __init__(self, model: Mlp, cfg: DetectConfig):
+    def __init__(self, model: Mlp, task: str, class_index: int, use_logit: bool):
         self.model = model
-        self.cfg = cfg
+        self.task = task
+        self.class_index = class_index
+        self.use_logit = use_logit
 
     def scores(self, row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]) -> dict:
         if not candidates:
@@ -202,10 +204,10 @@ class _ModelEvaluator:
             for t, idx in enumerate(cand):
                 arr[b, idx, 1 << t] = 1.0
         out = forward_lattice(self.model, arr, order)
-        if self.cfg.task == "classification":
-            if not self.cfg.use_logit:
+        if self.task == "classification":
+            if not self.use_logit:
                 out = softmax_lattice(out, order)
-            series = out[:, self.cfg.class_index, :]
+            series = out[:, self.class_index, :]
         else:
             series = out[:, 0, :]
         full = series[:, k - 1]
@@ -242,13 +244,13 @@ def _check_order(model, order: int):
         )
 
 
-def _make_evaluator(model, cfg: DetectConfig):
+def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     if isinstance(model, Mlp):
-        if cfg.task == "classification" and cfg.class_index >= model.config.output_dim:
+        if task == "classification" and class_index >= model.config.output_dim:
             raise ValueError(
-                f"class_index {cfg.class_index} out of range for output_dim {model.config.output_dim}"
+                f"class_index {class_index} out of range for output_dim {model.config.output_dim}"
             )
-        return _ModelEvaluator(model, cfg)
+        return _ModelEvaluator(model, task, class_index, use_logit)
     if callable(model):
         return _FunctionEvaluator(model)
     raise TypeError(f"model must be an Mlp or a callable, got {type(model).__name__}")
@@ -273,10 +275,7 @@ def local_ies(
         if len(c) != order or len(set(c)) != order:
             raise ValueError(f"candidate {c} is not a distinct index set of size {order}")
         cands.append(c)
-    cfg = DetectConfig(
-        max_order=max(order, 2), task=task, class_index=class_index, use_logit=use_logit
-    )
-    ev = _make_evaluator(model, cfg)
+    ev = _make_evaluator(model, task, class_index, use_logit)
     return ev.scores(np.asarray(sample, dtype=np.float64), order, cands)
 
 
@@ -336,9 +335,12 @@ def _aggregate(
     return orders
 
 
-def detect(model, data: Dataset, cfg: DetectConfig, threads: int = 1) -> InteractionRanking:
-    """Rank variable subsets of every order 2..max_order by aggregated
-    cross-partial strength at the configured representatives."""
+def _profile_pass(model, data: Dataset, cfg: DetectConfig, threads: int):
+    """Score every configured representative once.  Returns the
+    representatives in canonical order, their raw values by order, and
+    the top-k parents each one extended at orders beyond full_order.
+    Representatives are independent, so threads > 1 scores them
+    concurrently; results are merged in canonical order either way."""
     _check_order(model, cfg.max_order)
     if isinstance(model, Mlp):
         if model.config.input_dim != data.dim:
@@ -347,32 +349,43 @@ def detect(model, data: Dataset, cfg: DetectConfig, threads: int = 1) -> Interac
             )
         if not data.normalized:
             raise ValueError("normalize the dataset before detecting on a trained model")
-    evaluator = _make_evaluator(model, cfg)
+    evaluator = _make_evaluator(model, cfg.task, cfg.class_index, cfg.use_logit)
     reps = representative_samples(data, cfg.representatives, cfg.seed)
 
     def job(rep):
         return _rep_profile(evaluator, rep, data.dim, cfg)
 
     if threads > 1 and len(reps) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(job, reps))
     else:
         results = [job(r) for r in reps]
-
     profiles = {rep.label: raw for rep, (raw, _) in zip(reps, results)}
-    top_parents: dict[int, dict[str, tuple[tuple[int, ...], ...]]] = {}
-    for rep, (_, parents) in zip(reps, results):
-        for order, pts in parents.items():
-            top_parents.setdefault(order, {})[rep.label] = pts
+    parents = {rep.label: pts for rep, (_, pts) in zip(reps, results)}
+    return reps, profiles, parents
 
-    orders = _aggregate(profiles, [r.label for r in reps], cfg)
+
+def _ranking(reps, profiles, parents, cfg: DetectConfig) -> InteractionRanking:
+    """Aggregate the profiles of cfg's representatives into a ranking."""
+    active = tuple(r for r in reps if r.label in cfg.representatives)
+    labels = [r.label for r in active]
+    top_parents: dict[int, dict[str, tuple[tuple[int, ...], ...]]] = {}
+    for lab in labels:
+        for order, pts in parents[lab].items():
+            top_parents.setdefault(order, {})[lab] = pts
     return InteractionRanking(
-        orders=orders,
-        representatives=tuple(reps),
-        per_representative=profiles,
+        orders=_aggregate(profiles, labels, cfg),
+        representatives=active,
+        per_representative={lab: profiles[lab] for lab in labels},
         top_parents=top_parents,
         config=cfg,
     )
+
+
+def detect(model, data: Dataset, cfg: DetectConfig, threads: int = 1) -> InteractionRanking:
+    """Rank variable subsets of every order 2..max_order by aggregated
+    cross-partial strength at the configured representatives."""
+    return _ranking(*_profile_pass(model, data, cfg, threads), cfg)
 
 
 def verify_extension_schedule(ranking: InteractionRanking) -> int:
@@ -421,40 +434,15 @@ def aggregation_sweep(
     combinations just re-aggregate them.
     """
     base = replace(cfg, representatives=REPRESENTATIVE_LABELS)
-    _check_order(model, base.max_order)
-    evaluator = _make_evaluator(model, base)
-    reps = representative_samples(data, REPRESENTATIVE_LABELS, base.seed)
-
-    def job(rep):
-        return _rep_profile(evaluator, rep, data.dim, base)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, reps))
-    else:
-        results = [job(r) for r in reps]
-    profiles = {rep.label: raw for rep, (raw, _) in zip(reps, results)}
-    parents_by_rep = {rep.label: parents for rep, (_, parents) in zip(reps, results)}
-
+    reps, profiles, parents = _profile_pass(model, data, base, threads)
     rows = []
     for mask in range(1, 1 << len(REPRESENTATIVE_LABELS)):
         labels = tuple(
             lab for i, lab in enumerate(REPRESENTATIVE_LABELS) if mask & (1 << i)
         )
-        active_reps = tuple(r for r in reps if r.label in labels)
-        top_parents: dict[int, dict[str, tuple[tuple[int, ...], ...]]] = {}
-        for lab in labels:
-            for order, pts in parents_by_rep[lab].items():
-                top_parents.setdefault(order, {})[lab] = pts
         for agg in AGGREGATION_LABELS:
             combo = replace(base, representatives=labels, aggregation=agg)
-            ranking = InteractionRanking(
-                orders=_aggregate(profiles, labels, combo),
-                representatives=active_reps,
-                per_representative={lab: profiles[lab] for lab in labels},
-                top_parents=top_parents,
-                config=combo,
-            )
+            ranking = _ranking(reps, profiles, parents, combo)
             name = f"{_AGG_DISPLAY[agg]} Of {'-'.join(_REP_DISPLAY[l] for l in labels)}"
             rows.append(SweepRow(name, labels, agg, float(score_fn(ranking))))
     rows.sort(key=lambda r: (-r.score, r.label))

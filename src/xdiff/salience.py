@@ -17,7 +17,6 @@ list of n rows of scalars, which is how analytic toys plug in.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from itertools import combinations, permutations, product
 
@@ -121,7 +120,7 @@ def _directions(grid: FeatureGrid, tup: tuple[int, ...], local_k: bool) -> list[
     return dirs
 
 
-def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool, threads: int = 1):
+def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool):
     """Directed salience value for each index tuple, in the given order."""
     if not tuples:
         return []
@@ -158,9 +157,6 @@ def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool
             return float(out.coeffs[-1])
         return 0.0
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(one, tuples))
     return [one(t) for t in tuples]
 
 
@@ -182,7 +178,6 @@ def taylor_cam(
     grid: FeatureGrid,
     order: int,
     opts: CamOptions = CamOptions(),
-    threads: int = 1,
 ) -> SalienceTensor:
     """Order-l salience tensor over the grid.  Order 1 is exactly the
     per-vector importance; order 2 weights second cross partials; each
@@ -198,7 +193,7 @@ def taylor_cam(
     else:
         tuples = list(product(range(n), repeat=order))
     raw = np.zeros((n,) * order)
-    for tup, val in zip(tuples, _evaluate_tuples(model, grid, tuples, order, opts.local_k, threads)):
+    for tup, val in zip(tuples, _evaluate_tuples(model, grid, tuples, order, opts.local_k)):
         raw[tup] = val
     if opts.rectify:
         raw = np.maximum(raw, 0.0)
@@ -214,9 +209,9 @@ def taylor_cam(
     )
 
 
-def hessian_cam(model, grid: FeatureGrid, opts: CamOptions = CamOptions(), threads: int = 1) -> SalienceTensor:
+def hessian_cam(model, grid: FeatureGrid, opts: CamOptions = CamOptions()) -> SalienceTensor:
     """Pairwise salience matrix; the order-2 tensor."""
-    return taylor_cam(model, grid, 2, opts, threads)
+    return taylor_cam(model, grid, 2, opts)
 
 
 def _combine_mutual(raw: np.ndarray, order: int, opts: CamOptions) -> np.ndarray:

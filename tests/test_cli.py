@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 
 from xdiff import __main__ as xdiff_main
+from xdiff import cli
+from xdiff.autodiff import SingularityError
 from xdiff.cli import main
 from xdiff.mlp import Dataset, save_csv
 
@@ -88,6 +90,30 @@ def test_failed_run_reports_error_status(tmp_path):
     run = _read_run(tmp_path)
     assert run["status"] == "error"
     assert "unknown function" in run["error"]
+
+
+@pytest.mark.parametrize(
+    "exc, code, message",
+    [
+        (SingularityError("reciprocal of a value of zero"), 1, "reciprocal of a value of zero"),
+        (KeyboardInterrupt(), 130, "interrupted"),
+    ],
+    ids=["singularity", "interrupt"],
+)
+def test_unexpected_exception_still_finishes_run(tmp_path, monkeypatch, capsys, exc, code, message):
+    def boom(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli.bm, "sample_dataset", boom)
+    try:
+        got = main(["gen-data", "--function", "F1", "--out-dir", str(tmp_path)])
+    except BaseException as escaped:
+        pytest.fail(f"{type(escaped).__name__} escaped main")
+    assert got == code
+    run = _read_run(tmp_path)
+    assert run["status"] == "error"
+    assert run["error"] == message
+    assert f"error: {message}" in capsys.readouterr().err
 
 
 def test_missing_model_file_is_io_error(tmp_path, small_csv):

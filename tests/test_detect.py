@@ -248,6 +248,34 @@ def test_detect_dimension_mismatch():
         detect(model, data, DetectConfig())
 
 
+def _five_column_data():
+    data = normalize(bm.sample_dataset("F9", 50, seed=0))
+    return Dataset(data.features[:, :5], data.targets, normalized=True)
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda model, data: detect(model, data, DetectConfig(max_order=3)),
+        lambda model, data: aggregation_sweep(model, data, DetectConfig(max_order=3), lambda r: 0.0),
+    ],
+    ids=["detect", "sweep"],
+)
+@pytest.mark.parametrize(
+    "make_data, message",
+    [
+        (lambda: bm.sample_dataset("F9", 50, seed=0),
+         "normalize the dataset before detecting on a trained model"),
+        (_five_column_data, "model expects 10 features, data has 5"),
+    ],
+    ids=["unnormalized", "dimension"],
+)
+def test_detect_and_sweep_reject_bad_data_alike(run, make_data, message):
+    model = init_mlp(MlpConfig(input_dim=10, hidden=(4,)))
+    with pytest.raises(ValueError, match=message):
+        run(model, make_data())
+
+
 def test_detect_rejects_non_model():
     _, data = _random_setup()
     with pytest.raises(TypeError):

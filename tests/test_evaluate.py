@@ -303,17 +303,6 @@ def test_pairwise_suite_with_injected_pipeline():
     assert report.rows()[-1] == ("average", 1.0, 0.0)
 
 
-def test_pairwise_suite_threaded_matches_serial():
-    def pipeline(fid, seed):
-        rng = np.random.default_rng(seed)
-        rows = [(p, float(rng.uniform())) for p in combinations(range(10), 2)]
-        return _ranking({2: rows})
-
-    serial = pairwise_suite(functions=("F1", "F4"), trials=2, pipeline=pipeline)
-    threaded = pairwise_suite(functions=("F1", "F4"), trials=2, pipeline=pipeline, threads=4)
-    assert serial == threaded
-
-
 def test_pairwise_suite_rejects_bad_arguments():
     with pytest.raises(ValueError, match="at least 1"):
         pairwise_suite(trials=0)

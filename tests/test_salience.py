@@ -272,20 +272,6 @@ def test_render_heatmap_errors(tmp_path):
         render_heatmap(SalienceTensor(2, np.zeros((4, 4))), tmp_path / "y.svg", layout=(3, 2))
 
 
-def test_threads_do_not_change_values():
-    grid = FeatureGrid(np.random.default_rng(9).uniform(-1, 1, (4, 2)))
-
-    def f(rows):
-        acc = rows[0][0] * rows[1][0]
-        for r in rows[2:]:
-            acc = acc + r[0] * r[1]
-        return acc
-
-    a = taylor_cam(f, grid, 2, SQUARED, threads=1)
-    b = taylor_cam(f, grid, 2, SQUARED, threads=4)
-    np.testing.assert_array_equal(a.values, b.values)
-
-
 def test_salience_document_shape():
     t = SalienceTensor(2, np.array([[0.0, 4.0], [4.0, 0.0]]), symmetrized=True)
     doc = salience_document(t, CamOptions(), top=3)
