@@ -17,7 +17,10 @@ The module also hosts the ordinary-derivative tables of the elementary
 functions (ElementaryTable) and two entry points used throughout the
 package: cross_partial, which seeds a point and reads one mixed partial
 off a function evaluation, and fd_oracle, a nested central-difference
-estimate used as an independent check in the tests.
+estimate used as an independent check in the tests.  A table is callable
+on plain numbers, arrays and CrossDuals alike, so one formula source
+evaluates both ways: ``exp``, ``sin``, ... are the tables themselves,
+while ``log`` and ``sqrt`` add a domain check on plain numbers.
 
 The coefficient routines (lattice_mul, lattice_compose) accept arrays
 whose last axis is the 2^t subset axis, so batches of lattice values can
@@ -149,9 +152,13 @@ class ElementaryTable:
     """Ordinary-derivative table for one scalar elementary function.
 
     ``series(k, x)`` returns the list [f(x), f'(x), ..., f^(k)(x)], each
-    entry shaped like ``x``; ``derivs(k, x)`` returns the order-k entry
-    alone.  ``check(x)`` raises DomainError (or SingularityError) when x
-    lies outside the function's domain; composition calls it first.
+    entry shaped like ``x``.  ``check(x)`` raises DomainError (or
+    SingularityError) when x lies outside the function's domain; the
+    chain rule calls it first.  Calling the table applies it: a CrossDual
+    goes through the chain rule (lattice_compose), anything else gets the
+    order-0 entry, a float for a scalar and an array for an array.  Only
+    the chain rule checks the domain: ``check`` costs about 8 us on a
+    plain float, several times the evaluation itself.
     """
 
     __slots__ = ("name", "_series", "_check")
@@ -164,8 +171,11 @@ class ElementaryTable:
     def series(self, k: int, x) -> list:
         return self._series(k, np.asarray(x, dtype=np.float64))
 
-    def derivs(self, k: int, x):
-        return self.series(k, x)[k]
+    def __call__(self, x):
+        if isinstance(x, CrossDual):
+            return CrossDual(x.ntags, lattice_compose(self, x.coeffs, x.ntags))
+        v = self.series(0, x)[0]
+        return v if isinstance(x, np.ndarray) else float(v)
 
     def check(self, x) -> None:
         if self._check is not None:
@@ -544,7 +554,7 @@ class CrossDual:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        quot = self * compose(RECIPROCAL, o)
+        quot = self * RECIPROCAL(o)
         # a*(1/b) rounds twice; pin the value slot to the true quotient
         # so plain and dual evaluation stay bit-identical
         quot.coeffs[0] = self.coeffs[0] / o.coeffs[0]
@@ -554,7 +564,7 @@ class CrossDual:
         o = self._lift(other)
         if o is None:
             return NotImplemented
-        quot = o * compose(RECIPROCAL, self)
+        quot = o * RECIPROCAL(self)
         quot.coeffs[0] = o.coeffs[0] / self.coeffs[0]
         return quot
 
@@ -565,114 +575,56 @@ class CrossDual:
         return self
 
     def __abs__(self):
-        return compose(ABS, self)
+        return ABS(self)
 
     def __pow__(self, p):
         if isinstance(p, CrossDual):
-            return exp(p * log(self))
-        return compose(power_table(float(p)), self)
+            return EXP(p * LOG(self))
+        return power_table(float(p))(self)
 
     def __rpow__(self, base):
         b = float(base)
         if b <= 0.0:
             raise DomainError("pow", b, "base > 0 for a tagged exponent")
-        return exp(self * math.log(b))
+        return EXP(self * math.log(b))
 
     def __repr__(self) -> str:
         return f"CrossDual(value={self.value!r}, ntags={self.ntags})"
 
 
-def compose(u: ElementaryTable, g: CrossDual) -> CrossDual:
-    """Coefficients of u(g) by the chain rule (see lattice_compose)."""
-    if not isinstance(g, CrossDual):
-        return u.derivs(0, g)
-    return CrossDual(g.ntags, lattice_compose(u, g.coeffs, g.ntags))
+# Scalar math on CrossDuals and plain numbers alike, so the same formula
+# source evaluates both ways.  Plain numbers read the table's order-0
+# entry rather than libm: np.exp and math.exp disagree by an ulp on some
+# inputs, and the value slice of a dual evaluation is contracted to
+# match plain evaluation bit for bit.  arcsin and arccos need no plain
+# clamp: their series clip to +-_ASIN_CLAMP.
+exp, sin, cos, tan, sinh, tanh = EXP, SIN, COS, TAN, SINH, TANH
+arcsin, arccos, arctan, erf = ARCSIN, ARCCOS, ARCTAN, ERF
+sigmoid, softplus = SIGMOID, SOFTPLUS
 
 
-# Scalar math that dispatches on CrossDual versus plain numbers, so the
-# same formula source evaluates both ways.  Plain numbers read the
-# table's order-0 entry rather than libm: np.exp and math.exp disagree
-# by an ulp on some inputs, and the value slice of a dual evaluation is
-# contracted to match plain evaluation bit for bit.
-
-def _plain(table: ElementaryTable, x) -> float:
-    return float(table.derivs(0, x))
-
-
-def exp(x):
-    return compose(EXP, x) if isinstance(x, CrossDual) else _plain(EXP, x)
+def _positive(table: ElementaryTable, x):
+    # A plain number is compared directly, not through table.check,
+    # which would dominate sample_dataset's scalar loop.
+    if isinstance(x, np.ndarray):
+        table.check(x)
+    elif not isinstance(x, CrossDual) and x <= 0:
+        raise DomainError(table.name, float(x), "x > 0")
+    return table(x)
 
 
 def log(x):
-    if isinstance(x, CrossDual):
-        return compose(LOG, x)
-    if x <= 0:
-        raise DomainError("log", float(x), "x > 0")
-    return _plain(LOG, x)
-
-
-def sin(x):
-    return compose(SIN, x) if isinstance(x, CrossDual) else _plain(SIN, x)
-
-
-def cos(x):
-    return compose(COS, x) if isinstance(x, CrossDual) else _plain(COS, x)
-
-
-def tan(x):
-    return compose(TAN, x) if isinstance(x, CrossDual) else _plain(TAN, x)
-
-
-def sinh(x):
-    return compose(SINH, x) if isinstance(x, CrossDual) else _plain(SINH, x)
-
-
-def tanh(x):
-    return compose(TANH, x) if isinstance(x, CrossDual) else _plain(TANH, x)
-
-
-def arcsin(x):
-    if isinstance(x, CrossDual):
-        return compose(ARCSIN, x)
-    return _plain(ARCSIN, max(-_ASIN_CLAMP, min(_ASIN_CLAMP, x)))
-
-
-def arccos(x):
-    if isinstance(x, CrossDual):
-        return compose(ARCCOS, x)
-    return _plain(ARCCOS, max(-_ASIN_CLAMP, min(_ASIN_CLAMP, x)))
-
-
-def arctan(x):
-    return compose(ARCTAN, x) if isinstance(x, CrossDual) else _plain(ARCTAN, x)
+    return _positive(LOG, x)
 
 
 def sqrt(x):
-    if isinstance(x, CrossDual):
-        return compose(SQRT, x)
-    if x <= 0:
-        raise DomainError("sqrt", float(x), "x > 0")
-    return _plain(SQRT, x)
-
-
-def erf(x):
-    return compose(ERF, x) if isinstance(x, CrossDual) else _plain(ERF, x)
-
-
-def sigmoid(x):
-    return compose(SIGMOID, x) if isinstance(x, CrossDual) else _plain(SIGMOID, x)
-
-
-def softplus(x):
-    if isinstance(x, CrossDual):
-        return compose(SOFTPLUS, x)
-    return _plain(SOFTPLUS, x)
+    return _positive(SQRT, x)
 
 
 def maximum(x, c: float):
     """max(x, c) with subderivative 0 at the kink."""
     if isinstance(x, CrossDual):
-        return compose(max_const_table(float(c)), x)
+        return max_const_table(float(c))(x)
     return x if x > c else c
 
 

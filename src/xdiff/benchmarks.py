@@ -15,8 +15,8 @@ instead of derivatives.  Every excluded pair is verified to show neither
 a cross partial nor a mixed difference anywhere.
 
 All functions take a length-10 sequence of plain numbers or CrossDuals;
-formulas route scalar math through the autodiff dispatch wrappers so the
-identical source evaluates both ways.
+formulas route scalar math through the callable autodiff derivative
+tables so the identical source evaluates both ways.
 """
 
 from __future__ import annotations
@@ -60,10 +60,9 @@ _DEFAULT_DOMAIN = (_UNIT,) * 10
 
 @dataclass(frozen=True)
 class GroundTruth:
-    """Maximal interacting variable sets (0-indexed), optionally filtered."""
+    """Maximal interacting variable sets (0-indexed)."""
 
     maximal_sets: tuple[tuple[int, ...], ...]
-    order: int | None = None
 
     def __post_init__(self):
         sets = tuple(tuple(sorted(s)) for s in self.maximal_sets)
@@ -79,12 +78,6 @@ class GroundTruth:
         for s in self.maximal_sets:
             found.update(combinations(s, m))
         return tuple(sorted(found))
-
-    def sets(self) -> tuple[tuple[int, ...], ...]:
-        """The maximal sets, or their order-m subsets when order is set."""
-        if self.order is None:
-            return self.maximal_sets
-        return self.subsets(self.order)
 
     def pairwise(self) -> set[tuple[int, int]]:
         return set(self.subsets(2))
@@ -312,8 +305,8 @@ def eval_function(fid: str, x: Sequence):
     return f.fn(x)
 
 
-def ground_truth(fid: str, order: int | None = None) -> GroundTruth:
-    return GroundTruth(get_function(fid).truth, order)
+def ground_truth(fid: str) -> GroundTruth:
+    return GroundTruth(get_function(fid).truth)
 
 
 def pairwise_truth(fid: str) -> set[tuple[int, int]]:

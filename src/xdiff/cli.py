@@ -295,7 +295,8 @@ def _cmd_sweep(args, run: Run) -> None:
     else:
         data = normalize(raw)
         mcfg = MlpConfig(input_dim=raw.dim, seed=args.seed)
-        tcfg = TrainConfig(max_epochs=args.epochs, seed=args.seed)
+        patience = min(TrainConfig.patience, args.epochs)
+        tcfg = TrainConfig(max_epochs=args.epochs, patience=patience, seed=args.seed)
         model, _ = train(data, mcfg, tcfg)
     cfg = DetectConfig(max_order=args.max_order, full_order=args.full_order,
                        top_k=args.top_k, seed=args.seed)

@@ -25,8 +25,8 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import MAX_TAGS, CapacityError, DomainError, cross_partial
-from .mlp import ActivationError, Dataset, Mlp, forward_lattice, softmax_lattice
+from .autodiff import MAX_TAGS, DomainError, cross_partial
+from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, softmax_lattice
 
 log = logging.getLogger(__name__)
 
@@ -234,16 +234,6 @@ class _FunctionEvaluator:
         return out
 
 
-def _check_order(model, order: int):
-    if order > MAX_TAGS:
-        raise CapacityError(f"order {order} exceeds the {MAX_TAGS}-tag limit")
-    if isinstance(model, Mlp) and model.config.activation == "relu" and order >= 2:
-        raise ActivationError(
-            "relu has an identically zero second derivative, so cross partials "
-            f"of order {order} are meaningless; train with gelu instead"
-        )
-
-
 def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     if isinstance(model, Mlp):
         if task == "classification" and class_index >= model.config.output_dim:
@@ -268,7 +258,7 @@ def local_ies(
 ) -> dict[tuple[int, ...], float]:
     """Raw signed cross partials of the model output at one sample, for
     every candidate subset of the given order."""
-    _check_order(model, order)
+    check_derivative_order(model, order)
     cands = []
     for c in candidates:
         c = tuple(sorted(c))
@@ -341,7 +331,7 @@ def _profile_pass(model, data: Dataset, cfg: DetectConfig, threads: int):
     the top-k parents each one extended at orders beyond full_order.
     Representatives are independent, so threads > 1 scores them
     concurrently; results are merged in canonical order either way."""
-    _check_order(model, cfg.max_order)
+    check_derivative_order(model, cfg.max_order)
     if isinstance(model, Mlp):
         if model.config.input_dim != data.dim:
             raise ValueError(

@@ -104,11 +104,10 @@ def default_pipeline(
     mlp_config: MlpConfig | None = None,
     train_config: TrainConfig | None = None,
     detect_config: DetectConfig | None = None,
-    check_schedule: bool = True,
 ):
     """Sample, normalize, train, detect: the standard benchmark chain.
     Returns the ranking; the extension lineage is self-checked on every
-    run unless disabled."""
+    run."""
     data = normalize(bm.sample_dataset(fid, samples, seed))
     mcfg = replace(mlp_config or MlpConfig(input_dim=10), seed=seed)
     tcfg = replace(train_config or TrainConfig(), seed=seed)
@@ -116,8 +115,7 @@ def default_pipeline(
     log.info("%s seed=%d trained to val %.3g (epoch %d)", fid, seed, report.best_val_loss, report.best_epoch)
     dcfg = replace(detect_config or DetectConfig(), seed=seed)
     ranking = detect(model, data, dcfg)
-    if check_schedule:
-        verify_extension_schedule(ranking)
+    verify_extension_schedule(ranking)
     return ranking
 
 

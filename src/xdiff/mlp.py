@@ -9,9 +9,11 @@ given (data, config) pair reproduces bit-identical weights.
 normally, and lists of CrossDuals are pushed through the same affine and
 activation stack on the subset lattice, so any mixed partial derivative
 of the trained network is available exactly.  GELU uses the exact erf
-form, never the tanh approximation; its higher derivatives come from the
-closed-form GELU derivative table in ``autodiff`` (Hermite polynomials
-times the normal density).
+form, never the tanh approximation.  The plain pass, the lattice pass
+and training's backward pass all read the activation from one derivative
+table in ``autodiff`` (for GELU a closed form: Hermite polynomials times
+the normal density), so training takes each layer's value and slope from
+a single call.
 
 Datasets are plain feature/target matrices with scale-only
 normalization: each feature column is divided by its population standard
@@ -32,23 +34,21 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-from scipy import special
 
 from .autodiff import (
     EXP,
     GELU,
+    MAX_TAGS,
     RECIPROCAL,
+    CapacityError,
     CrossDual,
-    compose,
+    ElementaryTable,
     lattice_compose,
     lattice_mul,
     max_const_table,
 )
 
 log = logging.getLogger(__name__)
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
 
 
 class TrainingError(RuntimeError):
@@ -57,6 +57,18 @@ class TrainingError(RuntimeError):
 
 class ActivationError(ValueError):
     """The model's activation cannot support the requested derivative order."""
+
+
+def check_derivative_order(model, order: int) -> None:
+    """Reject mixed partials of ``order`` that the lattice cannot carry, or
+    that a ReLU model (zero second derivative) makes meaningless."""
+    if order > MAX_TAGS:
+        raise CapacityError(f"order {order} exceeds the {MAX_TAGS}-tag limit")
+    if isinstance(model, Mlp) and model.config.activation == "relu" and order >= 2:
+        raise ActivationError(
+            "relu has an identically zero second derivative, so cross partials "
+            f"of order {order} are meaningless; train with gelu instead"
+        )
 
 
 # ---------------------------------------------------------------------------
@@ -266,22 +278,13 @@ def init_mlp(cfg: MlpConfig) -> Mlp:
 
 def gelu(x):
     """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    return compose(GELU, x)
+    return GELU(x)
 
 
-def gelu_grad(x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
-    phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-    cdf = 0.5 * (1.0 + special.erf(x / _SQRT2))
-    return cdf + x * phi
-
-
-def _act(name: str, z: np.ndarray) -> np.ndarray:
-    return gelu(z) if name == "gelu" else np.maximum(z, 0.0)
-
-
-def _act_grad(name: str, z: np.ndarray) -> np.ndarray:
-    return gelu_grad(z) if name == "gelu" else (z > 0).astype(np.float64)
+def activation_table(cfg: MlpConfig) -> ElementaryTable:
+    """The hidden activation's derivative table; training, the plain
+    forward pass and the lattice pass all read it."""
+    return GELU if cfg.activation == "gelu" else max_const_table(0.0)
 
 
 def forward_lattice(model: Mlp, arr: np.ndarray, t: int) -> np.ndarray:
@@ -291,7 +294,7 @@ def forward_lattice(model: Mlp, arr: np.ndarray, t: int) -> np.ndarray:
     (batch, output_dim, 2^t).  Entry [..., 0] is the plain forward pass, up
     to the summation order of the affine maps.
     """
-    table = GELU if model.config.activation == "gelu" else max_const_table(0.0)
+    table = activation_table(model.config)
     h = arr
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
@@ -334,10 +337,11 @@ def forward(model: Mlp, x):
     h = arr[None, :] if single else arr
     if h.shape[1] != model.config.input_dim:
         raise ValueError(f"expected {model.config.input_dim} features, got {h.shape[1]}")
+    table = activation_table(model.config)
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         z = h @ w.T + b
-        h = z if i == last else _act(model.config.activation, z)
+        h = z if i == last else table(z)
     return h[0] if single else h
 
 
@@ -465,7 +469,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     x_va, y_va = data.features[val_idx], targets[val_idx]
 
     model = init_mlp(mcfg)
-    act = mcfg.activation
+    table = activation_table(mcfg)
     params = model.weights + model.biases
     adam_m = [np.zeros_like(p) for p in params]
     adam_v = [np.zeros_like(p) for p in params]
@@ -486,14 +490,15 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
         for start in range(0, len(x_tr), tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
             xb, yb = x_tr[idx], y_tr[idx]
-            # forward, caching pre-activations
+            # forward, caching each hidden activation's slope
             acts = [xb]
-            zs = []
+            slopes = []
             h = xb
             for i in range(nlayers):
-                z = h @ model.weights[i].T + model.biases[i]
-                zs.append(z)
-                h = z if i == nlayers - 1 else _act(act, z)
+                h = h @ model.weights[i].T + model.biases[i]
+                if i < nlayers - 1:
+                    h, slope = table.series(1, h)
+                    slopes.append(slope)
                 acts.append(h)
             loss, delta = _loss_and_grad(h, yb, classification)
             epoch_loss += float(loss) * len(idx)
@@ -504,7 +509,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
                 grads_w[i] = delta.T @ acts[i]
                 grads_b[i] = delta.sum(axis=0)
                 if i > 0:
-                    delta = (delta @ model.weights[i]) * _act_grad(act, zs[i - 1])
+                    delta = (delta @ model.weights[i]) * slopes[i - 1]
             grads = grads_w + grads_b
             step += 1
             if tcfg.optimizer == "adam":

@@ -22,8 +22,8 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .autodiff import MAX_TAGS, CapacityError, CrossDual
-from .mlp import ActivationError, Mlp, forward_lattice
+from .autodiff import CrossDual
+from .mlp import Mlp, check_derivative_order, forward_lattice
 
 
 @dataclass(frozen=True)
@@ -90,18 +90,6 @@ class SalienceTensor:
         return self.values.shape[0]
 
 
-def _check_model(model, order: int):
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
-    if order > MAX_TAGS:
-        raise CapacityError(f"order {order} exceeds the {MAX_TAGS}-tag budget")
-    if isinstance(model, Mlp) and model.config.activation == "relu" and order >= 2:
-        raise ActivationError(
-            "relu has an identically zero second derivative; "
-            "order >= 2 salience needs a smooth activation"
-        )
-
-
 def _directions(grid: FeatureGrid, tup: tuple[int, ...], local_k: bool) -> list[tuple[int, np.ndarray]]:
     """Per-tag direction vectors over the flattened n*d input."""
     n, d = grid.x.shape
@@ -164,7 +152,6 @@ def grad_cam(model, grid: FeatureGrid, i: int, opts: CamOptions = CamOptions()) 
     """First-order importance of vector i: its coordinates times the
     model gradient, summed over the vector's own coordinates (local) or
     over every vector slot."""
-    _check_model(model, 1)
     if not 0 <= i < grid.n:
         raise IndexError(f"vector index {i} out of range for a {grid.n}-vector grid")
     val = _evaluate_tuples(model, grid, [(i,)], 1, opts.local_k)[0]
@@ -182,7 +169,9 @@ def taylor_cam(
     """Order-l salience tensor over the grid.  Order 1 is exactly the
     per-vector importance; order 2 weights second cross partials; each
     further order differentiates along one more vector's coordinates."""
-    _check_model(model, order)
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
+    check_derivative_order(model, order)
     n = grid.n
     if order == 1:
         vals = np.array([grad_cam(model, grid, i, opts) for i in range(n)])

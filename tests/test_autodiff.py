@@ -79,6 +79,33 @@ def test_arcsin_clamps_at_one():
     assert float(vals[0]) == pytest.approx(math.pi / 2, abs=1e-4)
 
 
+# --- plain and dual evaluation through one table
+
+SCALAR_POINTS = {
+    "exp": 0.3, "log": 0.7, "sin": 0.4, "cos": -0.9, "tan": 0.5, "sinh": 0.8,
+    "tanh": -0.3, "arcsin": 0.4, "arccos": -0.2, "arctan": 1.1, "sqrt": 1.3,
+    "erf": 0.6, "sigmoid": -0.5, "softplus": 0.9,
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCALAR_POINTS))
+def test_scalar_function_plain_value_is_the_dual_value_slot(name):
+    f, table, x0 = getattr(ad, name), getattr(ad, name.upper()), SCALAR_POINTS[name]
+    plain = f(x0)
+    assert type(plain) is float
+    assert plain == f(CrossDual.variable(x0, 0, 2)).value
+    assert type(f(np.float64(x0))) is float
+    xs = x0 * np.linspace(0.5, 1.0, 7)
+    out = f(xs)
+    assert isinstance(out, np.ndarray)
+    np.testing.assert_array_equal(out, table.series(0, xs)[0])
+
+
+def test_plain_arcsin_just_past_one_stays_finite():
+    assert math.isfinite(ad.arcsin(1.0000005))
+    assert math.isfinite(ad.arccos(-1.0000005))
+
+
 # --- cross_partial worked cases
 
 def test_product_pair():

@@ -130,7 +130,7 @@ def test_ground_truth_subset_expansion():
     gt = ground_truth("F8")
     assert (2, 4) in gt.pairwise()  # inside {3,5,6} (1-based)
     assert (0, 2) not in gt.pairwise()  # no shared term
-    order3 = ground_truth("F8", order=3).sets()
+    order3 = gt.subsets(3)
     assert (2, 4, 5) in order3
     assert (3, 4, 6) in order3
     assert (0, 1, 2) not in order3

@@ -242,6 +242,17 @@ def test_analytic_sweep_row_count(tmp_path):
     assert "Mean Of Mean-Min-Mode-Rand" in labels
 
 
+def test_sweep_trains_for_fewer_epochs_than_the_default_patience(tmp_path):
+    out = tmp_path / "sw"
+    code = main([
+        "sweep", "--function", "F8", "--samples", "300", "--epochs", "3",
+        "--max-order", "3", "--top-k", "2", "--out-dir", str(out),
+    ])
+    assert code == 0
+    assert _read_run(out)["status"] == "ok"
+    assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 315
+
+
 def test_suite_single_function(tmp_path):
     out = tmp_path / "suite"
     code = main([

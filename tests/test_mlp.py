@@ -6,18 +6,18 @@ import numpy as np
 import pytest
 from scipy import special
 
-from xdiff.autodiff import CrossDual
+from xdiff.autodiff import GELU, CrossDual
 from xdiff.mlp import (
     Dataset,
     Mlp,
     MlpConfig,
     TrainConfig,
     TrainingError,
+    activation_table,
     denormalize,
     early_stop_epoch,
     forward,
     gelu,
-    gelu_grad,
     init_mlp,
     load_csv,
     load_model,
@@ -92,14 +92,28 @@ def test_gelu_is_the_exact_erf_expression():
 def test_gelu_derivative_at_zero_is_half():
     x = CrossDual.variable(0.0, 0, 1)
     assert gelu(x).partial((0,)) == pytest.approx(0.5, rel=1e-12)
-    assert gelu_grad(np.array(0.0)) == pytest.approx(0.5)
+    assert GELU.series(1, np.array(0.0))[1] == pytest.approx(0.5)
 
 
 def test_gelu_grad_matches_fd():
     xs = np.linspace(-2.5, 2.5, 11)
     h = 1e-6
     fd = (gelu(xs + h) - gelu(xs - h)) / (2 * h)
-    np.testing.assert_allclose(gelu_grad(xs), fd, rtol=1e-8, atol=1e-9)
+    np.testing.assert_allclose(GELU.series(1, xs)[1], fd, rtol=1e-8, atol=1e-9)
+
+
+def test_train_slopes_are_the_hand_derived_expressions():
+    # train reads each hidden activation and its slope from the model's
+    # table; both must keep the bits of the hand-written backward pass
+    z = np.linspace(-8.0, 8.0, 1001)
+    value, slope = activation_table(MlpConfig(input_dim=1)).series(1, z)
+    phi = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * z * z)
+    cdf = 0.5 * (1.0 + special.erf(z / math.sqrt(2.0)))
+    np.testing.assert_array_equal(value, 0.5 * z * (1.0 + special.erf(z / math.sqrt(2.0))))
+    np.testing.assert_array_equal(slope, cdf + z * phi)
+    value, slope = activation_table(MlpConfig(input_dim=1, activation="relu")).series(1, z)
+    np.testing.assert_array_equal(value, np.maximum(z, 0.0))
+    np.testing.assert_array_equal(slope, (z > 0).astype(np.float64))
 
 
 # --- forward
