@@ -22,9 +22,10 @@ on plain numbers, arrays and CrossDuals alike, so one formula source
 evaluates both ways: ``exp``, ``sin``, ... are the tables themselves,
 while ``log`` and ``sqrt`` add a domain check on plain numbers.
 
-The coefficient routines (lattice_mul, lattice_compose) accept arrays
-whose last axis is the 2^t subset axis, so batches of lattice values can
-be pushed through a network with plain numpy arithmetic.
+The coefficient routines (lattice_mul, lattice_compose) and CrossDual
+accept arrays whose last axis is the 2^t subset axis and whose leading
+axes are a batch, so one evaluation of a network or a formula yields the
+partials of many seedings at once (vector forward mode).
 """
 
 from __future__ import annotations
@@ -447,9 +448,12 @@ def max_const_table(c: float) -> ElementaryTable:
 class CrossDual:
     """A value together with its mixed partials over tagged variables.
 
-    ``coeffs[s]`` is the mixed partial with respect to the tag subset
-    whose bitmask is ``s``; ``coeffs[0]`` is the value itself.  Instances
-    are treated as immutable; all arithmetic returns new objects.
+    ``coeffs[..., s]`` is the mixed partial with respect to the tag subset
+    whose bitmask is ``s``; ``coeffs[..., 0]`` is the value itself.  The
+    leading axes, if any, hold a batch of independent duals evaluated by
+    one pass (one candidate or direction per row); plain numbers and
+    unbatched duals broadcast against them.  Instances are treated as
+    immutable; all arithmetic returns new objects.
     """
 
     __slots__ = ("ntags", "coeffs")
@@ -461,7 +465,7 @@ class CrossDual:
         if ntags > MAX_TAGS:
             raise CapacityError(f"{ntags} tags requested, the lattice caps at {MAX_TAGS}")
         coeffs = np.asarray(coeffs, dtype=np.float64)
-        if coeffs.shape != (1 << ntags,):
+        if coeffs.ndim == 0 or coeffs.shape[-1] != 1 << ntags:
             raise ValueError(f"expected {1 << ntags} coefficients, got shape {coeffs.shape}")
         self.ntags = ntags
         self.coeffs = coeffs
@@ -481,29 +485,24 @@ class CrossDual:
         c[1 << tag] = 1.0
         return cls(ntags, c)
 
-    @classmethod
-    def linear(cls, value: float, ntags: int, first_order: dict[int, float]) -> "CrossDual":
-        """Seed with arbitrary first-order coefficients {tag: weight}."""
-        c = np.zeros(1 << ntags)
-        c[0] = value
-        for tag, w in first_order.items():
-            if not 0 <= tag < ntags:
-                raise ValueError(f"tag {tag} outside universe of {ntags}")
-            c[1 << tag] = w
-        return cls(ntags, c)
+    def _slot(self, mask: int):
+        v = self.coeffs[..., mask]
+        return float(v) if v.ndim == 0 else v
 
     @property
-    def value(self) -> float:
-        return float(self.coeffs[0])
+    def value(self):
+        """The value: a float, or an array over the batch axes."""
+        return self._slot(0)
 
-    def partial(self, tags: Iterable[int]) -> float:
-        """Mixed partial with respect to the given tag slots."""
+    def partial(self, tags: Iterable[int]):
+        """Mixed partial with respect to the given tag slots (a float, or
+        an array over the batch axes)."""
         mask = 0
         for tag in tags:
             if not 0 <= tag < self.ntags:
                 raise ValueError(f"tag {tag} outside universe of {self.ntags}")
             mask |= 1 << tag
-        return float(self.coeffs[mask])
+        return self._slot(mask)
 
     def _lift(self, other):
         if isinstance(other, CrossDual):
@@ -557,7 +556,7 @@ class CrossDual:
         quot = self * RECIPROCAL(o)
         # a*(1/b) rounds twice; pin the value slot to the true quotient
         # so plain and dual evaluation stay bit-identical
-        quot.coeffs[0] = self.coeffs[0] / o.coeffs[0]
+        quot.coeffs[..., 0] = self.coeffs[..., 0] / o.coeffs[..., 0]
         return quot
 
     def __rtruediv__(self, other):
@@ -565,7 +564,7 @@ class CrossDual:
         if o is None:
             return NotImplemented
         quot = o * RECIPROCAL(self)
-        quot.coeffs[0] = o.coeffs[0] / self.coeffs[0]
+        quot.coeffs[..., 0] = o.coeffs[..., 0] / self.coeffs[..., 0]
         return quot
 
     def __neg__(self):

@@ -40,15 +40,16 @@ class Interval:
     lo_open: bool = True
     hi_open: bool = True
 
-    def contains(self, x: float) -> bool:
+    def contains(self, x):
+        """Membership of a number, or elementwise of an array."""
         above = x > self.lo if self.lo_open else x >= self.lo
         below = x < self.hi if self.hi_open else x <= self.hi
-        return above and below
+        return above & below
 
-    def closure_contains(self, x: float) -> bool:
+    def closure_contains(self, x):
         # evaluation accepts the closed hull; exact endpoints are fine
         # for every formula even where sampling stays in the interior
-        return self.lo <= x <= self.hi
+        return (self.lo <= x) & (x <= self.hi)
 
     def __str__(self) -> str:
         return f"{'(' if self.lo_open else '['}{self.lo}, {self.hi}{')' if self.hi_open else ']'}"
@@ -288,20 +289,18 @@ def get_function(fid: str) -> SynthFunction:
         raise ValueError(f"unknown function id {fid!r}; expected one of {FUNCTION_IDS}") from None
 
 
-def _value_of(v) -> float:
-    return v.value if isinstance(v, CrossDual) else float(v)
-
-
 def eval_function(fid: str, x: Sequence):
-    """Evaluate a benchmark at x (plain numbers or CrossDuals), after a
-    per-variable domain check."""
+    """Evaluate a benchmark at x (plain numbers or CrossDuals, batched or
+    not), after a per-variable domain check of every value."""
     f = get_function(fid)
     if len(x) != f.arity:
         raise ValueError(f"{fid} takes {f.arity} variables, got {len(x)}")
     for i, (v, iv) in enumerate(zip(x, f.domain)):
-        val = _value_of(v)
-        if not iv.closure_contains(val):
-            raise DomainError(f"{fid}:x{i + 1}", val, f"x{i + 1} in [{iv.lo}, {iv.hi}]")
+        val = np.atleast_1d(v.value if isinstance(v, CrossDual) else float(v))
+        bad = ~iv.closure_contains(val)
+        if bad.any():
+            bound = f"x{i + 1} in [{iv.lo}, {iv.hi}]"
+            raise DomainError(f"{fid}:x{i + 1}", float(val[bad][0]), bound)
     return f.fn(x)
 
 
@@ -325,10 +324,10 @@ def sample_dataset(fid: str, n: int, seed: int) -> Dataset:
     for iv in f.domain:
         col = rng.uniform(iv.lo, iv.hi, size=n)
         # uniform() is half-open; redraw the measure-zero boundary hits
-        bad = ~np.frompyfunc(iv.contains, 1, 1)(col).astype(bool)
+        bad = ~iv.contains(col)
         while bad.any():
             col[bad] = rng.uniform(iv.lo, iv.hi, size=int(bad.sum()))
-            bad = ~np.frompyfunc(iv.contains, 1, 1)(col).astype(bool)
+            bad = ~iv.contains(col)
         cols.append(col)
     feats = np.column_stack(cols)
     targets = np.array([f.fn(row) for row in feats], dtype=np.float64)[:, None]

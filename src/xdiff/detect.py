@@ -8,10 +8,10 @@ scored exhaustively; beyond that, each representative extends its own
 top-k subsets one variable at a time, so the candidate count stays
 polynomial while anything strong at a lower order keeps its lineage.
 
-Models can be ``Mlp`` instances (scored in one batched lattice forward
-pass per order) or plain callables taking a length-p vector (scored one
-cross partial at a time), which is how the analytic benchmark functions
-are plugged in directly.
+Models can be ``Mlp`` instances or plain callables taking a length-p
+vector, which is how the analytic benchmark functions are plugged in
+directly.  Both are scored the same way: one batched lattice pass per
+order and representative, with one candidate per batch row.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .autodiff import MAX_TAGS, DomainError, cross_partial
+from .autodiff import MAX_TAGS, DomainError
 from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, softmax_lattice
 
 log = logging.getLogger(__name__)
@@ -184,66 +184,47 @@ def representative_samples(data: Dataset, labels: Sequence[str], seed: int) -> l
     return out
 
 
-class _ModelEvaluator:
-    """Scores every same-order candidate at a row in one batched lattice
-    forward pass; row b of the batch carries candidate b's tags."""
-
-    def __init__(self, model: Mlp, task: str, class_index: int, use_logit: bool):
-        self.model = model
-        self.task = task
-        self.class_index = class_index
-        self.use_logit = use_logit
-
-    def scores(self, row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]) -> dict:
-        if not candidates:
-            return {}
-        k = 1 << order
-        arr = np.zeros((len(candidates), row.size, k))
-        arr[:, :, 0] = row
-        for b, cand in enumerate(candidates):
-            for t, idx in enumerate(cand):
-                arr[b, idx, 1 << t] = 1.0
-        out = forward_lattice(self.model, arr, order)
-        if self.task == "classification":
-            if not self.use_logit:
-                out = softmax_lattice(out, order)
-            series = out[:, self.class_index, :]
-        else:
-            series = out[:, 0, :]
-        full = series[:, k - 1]
-        return {cand: float(full[b]) for b, cand in enumerate(candidates)}
-
-
-class _FunctionEvaluator:
-    """Scores candidates on a plain callable, one cross partial each.
-    Rows where the callable raises a domain error drop that candidate."""
-
-    def __init__(self, fn: Callable):
-        self.fn = fn
-
-    def scores(self, row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]) -> dict:
-        out = {}
-        dropped = 0
-        for cand in candidates:
-            try:
-                out[cand] = cross_partial(self.fn, row, cand)
-            except DomainError:
-                dropped += 1
-        if dropped:
-            warnings.warn(f"dropped {dropped} candidate(s) at one representative (domain error)")
-        return out
-
-
 def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
+    """Check the model against the task and return scores(row, order,
+    candidates), which scores every same-order candidate at a row in one
+    batched lattice pass: row b of the batch carries candidate b's tags.
+    A domain error, which a callable raises from the row's value slot
+    that every candidate shares, drops all of that row's candidates."""
     if isinstance(model, Mlp):
         if task == "classification" and class_index >= model.config.output_dim:
             raise ValueError(
                 f"class_index {class_index} out of range for output_dim {model.config.output_dim}"
             )
-        return _ModelEvaluator(model, task, class_index, use_logit)
-    if callable(model):
-        return _FunctionEvaluator(model)
-    raise TypeError(f"model must be an Mlp or a callable, got {type(model).__name__}")
+    elif not callable(model):
+        raise TypeError(f"model must be an Mlp or a callable, got {type(model).__name__}")
+    elif task == "classification":
+        raise ValueError("a callable model returns one scalar; use task='regression'")
+
+    def scores(row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]) -> dict:
+        if not candidates:
+            return {}
+        k = 1 << order
+        arr = np.zeros((len(candidates), row.size, k))
+        arr[:, :, 0] = row
+        tags = np.asarray(candidates)
+        arr[np.arange(len(tags))[:, None], tags, 1 << np.arange(order)] = 1.0
+        try:
+            out = forward_lattice(model, arr, order)
+        except DomainError:
+            warnings.warn(
+                f"dropped {len(candidates)} candidate(s) at one representative (domain error)"
+            )
+            return {}
+        if task == "classification":
+            if not use_logit:
+                out = softmax_lattice(out, order)
+            series = out[:, class_index, :]
+        else:
+            series = out[:, 0, :]
+        full = series[:, k - 1]
+        return {cand: float(full[b]) for b, cand in enumerate(candidates)}
+
+    return scores
 
 
 def local_ies(
@@ -265,8 +246,8 @@ def local_ies(
         if len(c) != order or len(set(c)) != order:
             raise ValueError(f"candidate {c} is not a distinct index set of size {order}")
         cands.append(c)
-    ev = _make_evaluator(model, task, class_index, use_logit)
-    return ev.scores(np.asarray(sample, dtype=np.float64), order, cands)
+    scores = _make_evaluator(model, task, class_index, use_logit)
+    return scores(np.asarray(sample, dtype=np.float64), order, cands)
 
 
 def _transform(cfg: DetectConfig, raw: float) -> float:
@@ -291,7 +272,7 @@ def _rep_profile(evaluator, rep: Representative, dim: int, cfg: DetectConfig):
             cands = sorted(
                 {tuple(sorted(set(p) | {j})) for p in top for j in range(dim) if j not in p}
             )
-        raw[order] = evaluator.scores(rep.row, order, cands)
+        raw[order] = evaluator(rep.row, order, cands)
     return raw, parents
 
 

@@ -135,16 +135,6 @@ def normalize(data: Dataset, center: bool = False) -> Dataset:
     return Dataset(feats, data.targets.copy(), std, mean, True, center)
 
 
-def denormalize(data: Dataset) -> Dataset:
-    """Inverse of normalize, restoring the original feature scale."""
-    if not data.normalized:
-        raise ValueError("dataset is not normalized")
-    feats = data.features * data.feature_std
-    if data.centered:
-        feats = feats + data.feature_mean
-    return Dataset(feats, data.targets.copy(), None, None, False, False)
-
-
 @dataclass(frozen=True)
 class Normalizer:
     """Feature scaling carried alongside a checkpoint."""
@@ -287,13 +277,23 @@ def activation_table(cfg: MlpConfig) -> ElementaryTable:
     return GELU if cfg.activation == "gelu" else max_const_table(0.0)
 
 
-def forward_lattice(model: Mlp, arr: np.ndarray, t: int) -> np.ndarray:
-    """Push a batch of lattice coefficients through the network.
+def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
+    """Push a batch of lattice coefficients through a model.
 
-    ``arr`` has shape (batch, input_dim, 2^t); the result has shape
-    (batch, output_dim, 2^t).  Entry [..., 0] is the plain forward pass, up
-    to the summation order of the affine maps.
+    ``arr`` has shape (batch, inputs, 2^t).  An ``Mlp`` returns shape
+    (batch, output_dim, 2^t), whose entry [..., 0] is the plain forward
+    pass up to the summation order of the affine maps.  Any other
+    callable receives the input columns as a list of batched CrossDuals
+    and returns one scalar, giving shape (batch, 1, 2^t); a plain-number
+    return means every partial is zero.
     """
+    if not isinstance(model, Mlp):
+        y = model([CrossDual(t, arr[:, j, :]) for j in range(arr.shape[1])])
+        if isinstance(y, CrossDual):
+            return np.broadcast_to(y.coeffs, arr.shape[:1] + (1 << t,))[:, None, :]
+        out = np.zeros((arr.shape[0], 1, 1 << t))
+        out[..., 0] = y
+        return out
     table = activation_table(model.config)
     h = arr
     last = len(model.weights) - 1
@@ -312,9 +312,10 @@ def _forward_duals(model: Mlp, xs: Sequence) -> list[CrossDual]:
     ]
     if any(d.ntags != t for d in xs):
         raise ValueError("all inputs must share one tag universe")
-    arr = np.stack([d.coeffs for d in xs])[None, :, :]
+    # (..., inputs, 2^t): the batch axes of every input, broadcast together
+    arr = np.stack(np.broadcast_arrays(*(d.coeffs for d in xs)), axis=-2)
     out = forward_lattice(model, arr, t)
-    return [CrossDual(t, out[0, j]) for j in range(out.shape[1])]
+    return [CrossDual(t, out[..., j, :]) for j in range(out.shape[-2])]
 
 
 def forward(model: Mlp, x):
@@ -326,7 +327,7 @@ def forward(model: Mlp, x):
     rounding: each activation's value is the plain activation's
     expression, but the affine maps sum in another order (the tests hold
     the two to 1e-12 relative).  Plain numbers in the sequence are lifted
-    to constants.
+    to constants, and batched CrossDuals give batched outputs.
     """
     if isinstance(x, (list, tuple)) and any(isinstance(v, CrossDual) for v in x):
         if len(x) != model.config.input_dim:
@@ -390,21 +391,6 @@ class TrainingReport:
     best_epoch: int
     stopped_epoch: int
     best_val_loss: float
-
-
-def early_stop_epoch(val_losses: Sequence[float], patience: int) -> tuple[int, int]:
-    """(best_epoch, stop_epoch), 1-based, as the training loop applies them.
-
-    The loop halts after the first epoch that trails the best one by
-    ``patience`` epochs; ties keep the earlier best.
-    """
-    best, best_loss = 1, float(val_losses[0])
-    for e, v in enumerate(val_losses, start=1):
-        if v < best_loss:
-            best, best_loss = e, float(v)
-        if e - best >= patience:
-            return best, e
-    return best, len(val_losses)
 
 
 def _loss_and_grad(pred: np.ndarray, y: np.ndarray, classification: bool):

@@ -10,9 +10,11 @@ coordinates as the direction (on vector i alone for the local variant,
 replicated across every vector slot otherwise) and each further tag
 carries an all-ones direction over one vector's coordinates.
 
-Models can be ``Mlp`` instances over the flattened n*d input (batched,
-one forward pass for a whole tensor) or callables taking the grid as a
-list of n rows of scalars, which is how analytic toys plug in.
+Models can be ``Mlp`` instances over the flattened n*d input or
+callables taking the grid as a list of n rows of d scalars, which is how
+analytic toys plug in.  Either way one batched lattice pass computes a
+whole tensor: a callable is called once, on rows of batched CrossDuals
+holding one index tuple per batch row.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from itertools import combinations, permutations, product
 
 import numpy as np
 
-from .autodiff import CrossDual
 from .mlp import Mlp, check_derivative_order, forward_lattice
 
 
@@ -90,26 +91,9 @@ class SalienceTensor:
         return self.values.shape[0]
 
 
-def _directions(grid: FeatureGrid, tup: tuple[int, ...], local_k: bool) -> list[tuple[int, np.ndarray]]:
-    """Per-tag direction vectors over the flattened n*d input."""
-    n, d = grid.x.shape
-    dirs = []
-    v0 = np.zeros(n * d)
-    if local_k:
-        i = tup[0]
-        v0[i * d : (i + 1) * d] = grid.x[i]
-    else:
-        v0 = np.tile(grid.x[tup[0]], n)
-    dirs.append((0, v0))
-    for t, j in enumerate(tup[1:], start=1):
-        vt = np.zeros(n * d)
-        vt[j * d : (j + 1) * d] = 1.0
-        dirs.append((t, vt))
-    return dirs
-
-
 def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool):
-    """Directed salience value for each index tuple, in the given order."""
+    """Directed salience value for each index tuple, in the given order,
+    from one batched lattice pass with one tuple per batch row."""
     if not tuples:
         return []
     n, d = grid.x.shape
@@ -118,34 +102,24 @@ def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool
             raise ValueError(
                 f"model expects {model.config.input_dim} inputs, grid flattens to {n * d}"
             )
-        k = 1 << order
-        arr = np.zeros((len(tuples), n * d, k))
-        arr[:, :, 0] = grid.x.reshape(-1)
-        for b, tup in enumerate(tuples):
-            for t, direction in _directions(grid, tup, local_k):
-                arr[b, :, 1 << t] = direction
-        out = forward_lattice(model, arr, order)
-        return [float(v) for v in out[:, 0, k - 1]]
-
-    def one(tup):
-        seeds = {t: direction for t, direction in _directions(grid, tup, local_k)}
-        rows = []
-        for v in range(n):
-            row = []
-            for p in range(d):
-                flat = v * d + p
-                weights = {t: w[flat] for t, w in seeds.items() if w[flat] != 0.0}
-                if weights:
-                    row.append(CrossDual.linear(grid.x[v, p], order, weights))
-                else:
-                    row.append(grid.x[v, p])
-            rows.append(row)
-        out = model(rows)
-        if isinstance(out, CrossDual):
-            return float(out.coeffs[-1])
-        return 0.0
-
-    return [one(t) for t in tuples]
+    else:
+        grid_fn = model
+        model = lambda xs: grid_fn([xs[v * d : (v + 1) * d] for v in range(n)])
+    k = 1 << order
+    tups = np.asarray(tuples)
+    rows = np.arange(len(tups))
+    arr = np.zeros((len(tups), n, d, k))
+    arr[..., 0] = grid.x
+    # tag 0 runs along x_i's coordinates, on vector i alone or on every vector
+    if local_k:
+        arr[rows, tups[:, 0], :, 1] = grid.x[tups[:, 0]]
+    else:
+        arr[..., 1] = grid.x[tups[:, 0]][:, None, :]
+    # each further tag runs along all of one vector's coordinates
+    for t in range(1, order):
+        arr[rows, tups[:, t], :, 1 << t] = 1.0
+    out = forward_lattice(model, arr.reshape(len(tups), n * d, k), order)
+    return [float(v) for v in out[:, 0, k - 1]]
 
 
 def grad_cam(model, grid: FeatureGrid, i: int, opts: CamOptions = CamOptions()) -> float:

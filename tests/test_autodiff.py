@@ -227,7 +227,7 @@ def test_exp_log_roundtrip(data):
     value = data.draw(st.floats(min_value=0.2, max_value=4.0))
     w0 = data.draw(finite)
     w1 = data.draw(finite)
-    x = CrossDual.linear(value, ntags, {0: w0, 1: w1})
+    x = CrossDual(ntags, [value, w0, w1, 0.0])
     y = ad.exp(ad.log(x))
     np.testing.assert_allclose(y.coeffs, x.coeffs, rtol=1e-9, atol=1e-12)
 
@@ -244,7 +244,7 @@ def test_partial_extraction_is_linear(alpha, beta, x0):
 
 
 def test_tanh_two_routes_agree():
-    x = CrossDual.linear(0.6, 2, {0: 1.0, 1: -0.5})
+    x = CrossDual(2, [0.6, 1.0, -0.5, 0.0])
     direct = ad.tanh(x)
     e = ad.exp(2.0 * x)
     manual = (e - 1.0) / (e + 1.0)
@@ -252,7 +252,7 @@ def test_tanh_two_routes_agree():
 
 
 def test_sqrt_equals_half_power():
-    x = CrossDual.linear(1.7, 2, {0: 0.3, 1: 2.0})
+    x = CrossDual(2, [1.7, 0.3, 2.0, 0.0])
     np.testing.assert_allclose(ad.sqrt(x).coeffs, (x ** 0.5).coeffs, rtol=1e-12)
 
 
@@ -280,6 +280,80 @@ def test_lattice_compose_batched_matches_scalar():
         np.testing.assert_allclose(
             batched[i], ad.log(CrossDual(t, g[i])).coeffs, rtol=1e-12
         )
+
+
+# --- a batch of duals (coefficients shaped (B, 2^t)) against the same
+# duals one row at a time; numpy sums a batch in another order, so the
+# comparison allows a few hundred ulps of the largest coefficient
+
+TABLE_FUNCTIONS = (
+    "exp", "sin", "cos", "tan", "sinh", "tanh",
+    "arcsin", "arccos", "arctan", "erf", "sigmoid", "softplus",
+)
+
+BATCH_OPS = {
+    "add": lambda a, b: a + b,
+    "add_const": lambda a, b: 0.75 + a,
+    "sub": lambda a, b: a - b,
+    "rsub": lambda a, b: 1.5 - a,
+    "mul": lambda a, b: a * b,
+    "mul_const": lambda a, b: a * 2.5,
+    "div": lambda a, b: a / b,
+    "div_const": lambda a, b: a / 3.0,
+    "rdiv": lambda a, b: 2.0 / a,
+    "neg": lambda a, b: -a,
+    "pow": lambda a, b: a ** 2.5,
+    "pow_int": lambda a, b: a ** 5,
+    "pow_dual": lambda a, b: a ** b,
+    "rpow": lambda a, b: 2.0 ** a,
+    "abs": lambda a, b: abs(a - 0.5),
+    "maximum": lambda a, b: ad.maximum(a - b, 0.0),
+    "log": lambda a, b: ad.log(a),
+    "sqrt": lambda a, b: ad.sqrt(a),
+    **{name: (lambda a, b, f=getattr(ad, name): f(a)) for name in TABLE_FUNCTIONS},
+}
+
+
+def _dual_batch(rng, t, rows=5):
+    c = 0.5 * rng.normal(size=(rows, 1 << t))
+    c[:, 0] = rng.uniform(0.2, 0.8, size=rows)  # inside every domain above
+    return c
+
+
+@pytest.mark.parametrize("op", sorted(BATCH_OPS))
+def test_batched_dual_matches_row_by_row(op):
+    f = BATCH_OPS[op]
+    rng = np.random.default_rng(21)
+    for t in (1, 3, 5):
+        a, b = _dual_batch(rng, t), _dual_batch(rng, t)
+        got = f(CrossDual(t, a), CrossDual(t, b)).coeffs
+        want = [f(CrossDual(t, a[i]), CrossDual(t, b[i])).coeffs for i in range(len(a))]
+        assert got.shape == a.shape
+        _assert_lattice_close(got, np.stack(want))
+        # an unbatched operand broadcasts against the batch
+        got = f(CrossDual(t, a), CrossDual(t, b[0])).coeffs
+        want = [f(CrossDual(t, a[i]), CrossDual(t, b[0])).coeffs for i in range(len(a))]
+        _assert_lattice_close(got, np.stack(want))
+
+
+def test_batched_quotient_pins_every_value_slot():
+    rng = np.random.default_rng(22)
+    a, b = _dual_batch(rng, 3), _dual_batch(rng, 3)
+    quot = CrossDual(3, a) / CrossDual(3, b)
+    np.testing.assert_array_equal(quot.value, a[:, 0] / b[:, 0])
+    np.testing.assert_array_equal((1.0 / CrossDual(3, b)).value, 1.0 / b[:, 0])
+
+
+def test_value_and_partial_are_floats_unbatched_and_arrays_batched():
+    single = CrossDual(2, [1.0, 2.0, 3.0, 4.0])
+    assert type(single.value) is float and single.value == 1.0
+    assert type(single.partial((0, 1))) is float and single.partial((0, 1)) == 4.0
+    batch = CrossDual(2, [[1.0, 2.0, 3.0, 4.0], [5.0, 6.0, 7.0, 8.0]])
+    np.testing.assert_array_equal(batch.value, [1.0, 5.0])
+    np.testing.assert_array_equal(batch.partial((1,)), [3.0, 7.0])
+    for bad in (1.0, [[1.0, 2.0, 3.0]]):
+        with pytest.raises(ValueError, match="coefficients"):
+            CrossDual(2, bad)
 
 
 # --- lattice_compose against the chain rule written out over set partitions

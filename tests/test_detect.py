@@ -1,6 +1,10 @@
+import warnings
+from itertools import combinations
+
 import numpy as np
 import pytest
 
+from xdiff import autodiff as ad
 from xdiff import benchmarks as bm
 from xdiff.autodiff import CapacityError, cross_partial
 from xdiff.detect import (
@@ -165,6 +169,57 @@ def test_classification_ie_matches_closed_form():
         model, x, 2, [(0, 1)], task="classification", class_index=0, use_logit=True
     )
     assert logit[(0, 1)] == 0.0
+
+
+# --- callables go through the same batched lattice pass as an Mlp
+
+
+@pytest.mark.parametrize("fid", bm.FUNCTION_IDS)
+def test_local_ies_of_a_callable_match_one_cross_partial_each(fid):
+    def fn(z):
+        return bm.eval_function(fid, z)
+
+    rng = np.random.default_rng(31)
+    row = bm.sample_dataset(fid, 1, seed=4).features[0]
+    for order in (2, 3, 4):
+        cands = list(combinations(range(10), order))
+        cands = [cands[i] for i in sorted(rng.choice(len(cands), size=15, replace=False))]
+        got = local_ies(fn, row, order, cands)
+        assert list(got) == cands
+        for c in cands:
+            want = cross_partial(fn, row, c)
+            assert abs(got[c] - want) <= 1e-13 * max(1.0, abs(want)), (order, c)
+
+
+def test_callable_domain_error_drops_all_candidates_at_that_representative():
+    def fn(z):
+        return ad.log(z[0]) * z[1] * z[2] + z[1] * z[2]
+
+    rng = np.random.default_rng(32)
+    x = rng.uniform(0.5, 1.0, size=(40, 3))
+    x[7] = [-1.0, 0.5, 0.5]  # the "min" representative, outside log's domain
+    cfg = DetectConfig(max_order=2, representatives=("mean", "min"))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        ranking = detect(fn, Dataset(x, np.zeros((40, 1))), cfg)
+    assert [str(w.message) for w in caught] == [
+        "dropped 3 candidate(s) at one representative (domain error)"
+    ]
+    assert ranking.per_representative["min"][2] == {}
+    mean_row = ranking.representatives[0].row
+    for c in combinations(range(3), 2):
+        want = cross_partial(fn, mean_row, c)
+        assert ranking.per_representative["mean"][2][c] == pytest.approx(want, rel=1e-13)
+    assert {s for s, _ in ranking.orders[2]} == set(combinations(range(3), 2))
+
+
+def test_callable_with_classification_task_is_rejected():
+    fn = lambda z: z[0] * z[1]
+    with pytest.raises(ValueError, match="callable"):
+        local_ies(fn, np.zeros(2), 2, [(0, 1)], task="classification")
+    data = Dataset(np.ones((5, 2)), np.zeros((5, 1)))
+    with pytest.raises(ValueError, match="callable"):
+        detect(fn, data, DetectConfig(max_order=2, task="classification"))
 
 
 # --- detect

@@ -1,10 +1,15 @@
+import os
+import subprocess
+import sys
 import warnings
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import xdiff
 from xdiff import benchmarks as bm
 from xdiff.detect import DetectConfig, InteractionRanking, detect
 from xdiff.evaluate import (
@@ -151,6 +156,21 @@ def test_degenerate_classes_are_undefined():
         auc({(0,): 1.0}, {(0,)})
     with pytest.raises(UndefinedAucError):
         auc({(0,): 1.0, (1,): 2.0}, set())
+
+
+def test_auc_does_not_import_scipy_stats():
+    """scipy.stats adds about 45 MB to a process that imports it; nothing
+    in xdiff needs it, AUC's midranks included."""
+    src = str(Path(xdiff.__file__).resolve().parent.parent)
+    code = (
+        "import sys, xdiff; xdiff.auc({(0, 1): 2.0, (0, 2): 1.0, (1, 2): 1.0}, [(0, 1)]); "
+        "print('scipy.stats' in sys.modules)"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.stdout.split() == ["False"], proc.stderr
 
 
 def test_non_finite_scores_rejected():

@@ -14,8 +14,6 @@ from xdiff.mlp import (
     TrainConfig,
     TrainingError,
     activation_table,
-    denormalize,
-    early_stop_epoch,
     forward,
     gelu,
     init_mlp,
@@ -66,13 +64,6 @@ def test_normalize_twice_rejected():
     out = normalize(_toy())
     with pytest.raises(ValueError, match="already normalized"):
         normalize(out)
-
-
-@pytest.mark.parametrize("center", [False, True])
-def test_denormalize_roundtrip(center):
-    data = _toy(seed=3)
-    back = denormalize(normalize(data, center=center))
-    np.testing.assert_allclose(back.features, data.features, rtol=1e-12)
 
 
 # --- gelu
@@ -248,6 +239,20 @@ def test_train_rejects_shape_mismatch():
         train(data, MlpConfig(input_dim=7), TrainConfig())
 
 
+def early_stop_epoch(val_losses, patience):
+    """(best_epoch, stop_epoch), 1-based: the rule train applies, written
+    over a finished loss list.  Training halts after the first epoch that
+    trails the best one by ``patience`` epochs; ties keep the earlier best.
+    """
+    best, best_loss = 1, float(val_losses[0])
+    for e, v in enumerate(val_losses, start=1):
+        if v < best_loss:
+            best, best_loss = e, float(v)
+        if e - best >= patience:
+            return best, e
+    return best, len(val_losses)
+
+
 def test_early_stop_epoch_contract():
     # best at epoch 5, strictly worsening afterwards, patience 10
     losses = [0.9, 0.8, 0.7, 0.6, 0.5] + [0.5 + 0.1 * k for k in range(1, 11)]
@@ -256,6 +261,21 @@ def test_early_stop_epoch_contract():
     assert early_stop_epoch([3.0, 2.0, 1.0], 10) == (3, 3)
     # ties keep the earlier epoch
     assert early_stop_epoch([1.0, 1.0, 1.0, 1.0], 3) == (1, 4)
+
+
+@pytest.mark.parametrize("noise,max_epochs,patience", [(True, 60, 3), (False, 6, 6)])
+def test_train_stops_where_the_oracle_says(noise, max_epochs, patience):
+    data = _toy(n=120, seed=11)
+    if noise:  # nothing to learn: validation loss stalls and training stops early
+        data = Dataset(data.features, np.random.default_rng(12).normal(size=(120, 1)))
+    tcfg = TrainConfig(max_epochs=max_epochs, patience=patience, seed=11)
+    _, report = train(normalize(data), MlpConfig(input_dim=3, hidden=(6,), seed=11), tcfg)
+    assert (report.stopped_epoch < max_epochs) == noise
+    assert len(report.val_losses) == report.stopped_epoch
+    assert early_stop_epoch(report.val_losses, patience) == (
+        report.best_epoch,
+        report.stopped_epoch,
+    )
 
 
 def test_train_config_validation():
