@@ -16,10 +16,10 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import json
 import logging
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -43,9 +43,12 @@ from .mlp import (
     load_csv,
     load_model,
     normalize,
+    parse_rows,
     save_csv,
     save_model,
     train,
+    write_csv,
+    write_json,
 )
 from .salience import (
     CamOptions,
@@ -70,27 +73,6 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(message)
 
 
-def _json_bytes(doc) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
-
-
-def _write_json(path: Path, doc) -> None:
-    path.write_text(_json_bytes(doc), encoding="utf-8")
-
-
-def _fmt_cell(v) -> str:
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
-
-
-def _write_csv(path: Path, header, rows) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt_cell(c) for c in row) + "\n")
-
-
 class Run:
     """run.json lifecycle: created as running, finished as ok or error,
     collecting artifact hashes along the way."""
@@ -106,7 +88,7 @@ class Run:
         self._flush()
 
     def _flush(self):
-        _write_json(self.out_dir / "run.json", self.doc)
+        write_json(self.out_dir / "run.json", self.doc)
 
     def artifact(self, path: Path):
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
@@ -182,34 +164,23 @@ def _parse_layout(text: str | None) -> tuple[int, int] | None:
 
 
 def _load_grid(path, layout) -> FeatureGrid:
-    rows = []
     with open(path, encoding="utf-8", newline="") as fh:
-        for i, row in enumerate(csv.reader(fh)):
-            if not row:
-                continue
-            try:
-                rows.append([float(c) for c in row])
-            except ValueError:
-                if i == 0:
-                    continue
-                raise CliError(f"non-numeric grid row {i} in {path}") from None
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, r) for r in reader if r]
+    try:
+        parse_rows(path, rows[:1])
+    except ValueError:
+        rows = rows[1:]  # the header line
     if not rows:
         raise CliError(f"grid file {path} is empty")
-    return FeatureGrid(np.array(rows), layout)
+    return FeatureGrid(parse_rows(path, rows), layout)
 
 
-def _normalized_input(model, norm: Normalizer | None, data: Dataset) -> Dataset:
+def _normalized_input(norm: Normalizer | None, data: Dataset) -> Dataset:
     """Bring raw features into the model's input space: apply the
     checkpoint's stored scaling when present, fit one otherwise."""
     if norm is not None:
-        return Dataset(
-            norm.apply(data.features),
-            data.targets,
-            feature_std=norm.std.copy(),
-            feature_mean=norm.mean.copy(),
-            normalized=True,
-            centered=norm.centered,
-        )
+        return Dataset(norm.apply(data.features), data.targets, norm)
     return normalize(data)
 
 
@@ -222,7 +193,7 @@ def _cmd_gen_data(args, run: Run) -> None:
     data_path = _out_path(args, args.out or f"{fid.lower()}_data.csv")
     truth_path = _out_path(args, args.truth_out or f"{fid.lower()}_truth.json")
     save_csv(data, data_path)
-    _write_json(truth_path, bm.truth_document(fid))
+    write_json(truth_path, bm.truth_document(fid))
     run.artifact(data_path)
     run.artifact(truth_path)
 
@@ -240,7 +211,7 @@ def _cmd_train(args, run: Run) -> None:
     tcfg = TrainConfig(
         learning_rate=args.learning_rate,
         max_epochs=args.epochs,
-        patience=args.patience,
+        patience=min(args.patience, args.epochs),
         batch_size=args.batch_size,
         val_fraction=args.val_fraction,
         optimizer=args.optimizer,
@@ -249,8 +220,7 @@ def _cmd_train(args, run: Run) -> None:
     model, report = train(data, mcfg, tcfg)
     log.info("train: best epoch %d, val loss %.6g", report.best_epoch, report.best_val_loss)
     out = _out_path(args, args.out)
-    norm = Normalizer(std=data.feature_std, mean=data.feature_mean, centered=args.center)
-    save_model(model, out, normalizer=norm)
+    save_model(model, out, normalizer=data.normalizer)
     run.artifact(out)
     run.result(
         {
@@ -279,10 +249,10 @@ def _detect_config(args) -> DetectConfig:
 
 def _cmd_detect(args, run: Run) -> None:
     model, norm = load_model(args.model)
-    data = _normalized_input(model, norm, load_csv(args.data))
+    data = _normalized_input(norm, load_csv(args.data))
     ranking = detect(model, data, _detect_config(args), threads=args.threads)
     out = _out_path(args, args.out)
-    _write_json(out, ranking_document(ranking))
+    write_json(out, ranking_document(ranking))
     run.artifact(out)
 
 
@@ -304,7 +274,7 @@ def _cmd_sweep(args, run: Run) -> None:
         model, data, cfg, lambda r: mean_truth_auc(r, truth), threads=args.threads
     )
     out = _out_path(args, args.out)
-    _write_csv(out, ("label", "score"), [(r.label, r.score) for r in rows])
+    write_csv(out, ("label", "score"), [(r.label, r.score) for r in rows])
     run.artifact(out)
 
 
@@ -317,19 +287,8 @@ def _cmd_suite(args, run: Run) -> None:
         seed=args.seed,
     )
     out = _out_path(args, args.out)
-    _write_csv(out, ("id", "mean_auc", "std"), report.rows())
+    write_csv(out, ("id", "mean_auc", "std"), report.rows())
     run.artifact(out)
-
-
-def _cam_options(args) -> CamOptions:
-    return CamOptions(
-        local_k=args.local_k,
-        square=args.square,
-        symmetrize=args.symmetrize,
-        zero_diagonal=args.zero_diagonal,
-        sum_before_square=args.sum_before_square,
-        rectify=args.rectify,
-    )
 
 
 def _cmd_cam(args, run: Run) -> None:
@@ -340,10 +299,10 @@ def _cmd_cam(args, run: Run) -> None:
         grid = FeatureGrid(
             norm.apply(grid.x.reshape(-1)).reshape(grid.x.shape), layout
         )
-    opts = _cam_options(args)
+    opts = CamOptions(**{f.name: getattr(args, f.name) for f in fields(CamOptions)})
     tensor = taylor_cam(model, grid, args.order, opts)
     out = _out_path(args, args.out)
-    _write_json(out, salience_document(tensor, opts, args.top))
+    write_json(out, salience_document(tensor, opts, args.top))
     run.artifact(out)
     if args.svg:
         svg = _out_path(args, args.svg)
@@ -362,13 +321,15 @@ def _demo_trial(seed: int, args, out_dir: Path) -> dict:
     dots = np.sum(X[:, a * d : (a + 1) * d] * X[:, b * d : (b + 1) * d], axis=1)
     data = normalize(Dataset(X, expit(dots)[:, None]))
     mcfg = MlpConfig(input_dim=n * d, hidden=_parse_hidden(args.hidden), seed=seed)
-    tcfg = TrainConfig(max_epochs=args.epochs, patience=args.patience, seed=seed)
+    tcfg = TrainConfig(
+        max_epochs=args.epochs, patience=min(args.patience, args.epochs), seed=seed
+    )
     model, report = train(data, mcfg, tcfg)
 
     acc = np.zeros((n, n))
     for _ in range(args.test_grids):
         test = rng.uniform(-1.0, 1.0, size=(n, d))
-        scaled = (test.reshape(-1) / data.feature_std).reshape(n, d)
+        scaled = data.normalizer.apply(test.reshape(-1)).reshape(n, d)
         acc += hessian_cam(model, FeatureGrid(scaled)).values
     acc /= args.test_grids
     avg = SalienceTensor(2, acc, symmetrized=True, diagonal_zeroed=True)
@@ -398,7 +359,7 @@ def _cmd_cam_demo(args, run: Run) -> None:
         "trials": trials,
     }
     out = _out_path(args, args.out)
-    _write_json(out, doc)
+    write_json(out, doc)
     run.artifact(out)
     if args.svg:
         for s in seeds:

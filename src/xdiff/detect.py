@@ -19,7 +19,7 @@ from __future__ import annotations
 import concurrent.futures
 import logging
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations
 from typing import Callable, Mapping, Sequence
 
@@ -100,20 +100,6 @@ class DetectConfig:
             raise ValueError(f"task must be 'regression' or 'classification', got {self.task!r}")
         if self.class_index < 0:
             raise ValueError("class_index must be non-negative")
-
-    def to_dict(self) -> dict:
-        return {
-            "max_order": self.max_order,
-            "full_order": self.full_order,
-            "top_k": self.top_k,
-            "representatives": list(self.representatives),
-            "aggregation": self.aggregation,
-            "task": self.task,
-            "class_index": self.class_index,
-            "use_logit": self.use_logit,
-            "squared_multiclass": self.squared_multiclass,
-            "seed": self.seed,
-        }
 
 
 @dataclass(frozen=True)
@@ -424,7 +410,7 @@ def ranking_document(ranking: InteractionRanking) -> dict:
     """JSON-ready view of a ranking: config echo, per-order subset lists,
     and the representatives that produced them."""
     return {
-        "config": ranking.config.to_dict(),
+        "config": asdict(ranking.config),
         "orders": {
             str(order): [{"set": list(s), "strength": v} for s, v in rows]
             for order, rows in sorted(ranking.orders.items())

@@ -18,7 +18,9 @@ a single call.
 Datasets are plain feature/target matrices with scale-only
 normalization: each feature column is divided by its population standard
 deviation; means are recorded but not subtracted unless centering is
-requested explicitly.
+requested explicitly.  A normalized ``Dataset`` holds the ``Normalizer``
+that scaled it, and a checkpoint stores it.  Every JSON artifact is
+written by ``write_json``, every CSV by ``write_csv``.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ import logging
 import math
 import re
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -76,16 +78,36 @@ def check_derivative_order(model, order: int) -> None:
 # ---------------------------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Normalizer:
+    """Per-column feature scaling, fitted by ``normalize``."""
+
+    std: np.ndarray
+    mean: np.ndarray
+    centered: bool = False
+
+    def __post_init__(self):
+        for name in ("std", "mean"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+
+    def apply(self, features: np.ndarray) -> np.ndarray:
+        feats = np.asarray(features, dtype=np.float64)
+        if feats.shape[-1] != self.std.shape[0]:
+            raise ValueError(
+                f"normalizer expects {self.std.shape[0]} features, got {feats.shape[-1]}"
+            )
+        if self.centered:
+            feats = feats - self.mean
+        return feats / self.std
+
+
 @dataclass
 class Dataset:
-    """Feature/target matrices plus the fitted normalization statistics."""
+    """Feature/target matrices, plus the ``Normalizer`` once normalized."""
 
     features: np.ndarray
     targets: np.ndarray
-    feature_std: np.ndarray | None = None
-    feature_mean: np.ndarray | None = None
-    normalized: bool = False
-    centered: bool = False
+    normalizer: Normalizer | None = None
 
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
@@ -109,6 +131,14 @@ class Dataset:
     def dim(self) -> int:
         return self.features.shape[1]
 
+    @property
+    def normalized(self) -> bool:
+        return self.normalizer is not None
+
+    @property
+    def feature_std(self) -> np.ndarray | None:
+        return None if self.normalizer is None else self.normalizer.std
+
 
 def normalize(data: Dataset, center: bool = False) -> Dataset:
     """Scale each feature column by its population standard deviation.
@@ -122,7 +152,6 @@ def normalize(data: Dataset, center: bool = False) -> Dataset:
     if data.n == 0:
         raise ValueError("cannot normalize an empty dataset")
     std = data.features.std(axis=0)
-    mean = data.features.mean(axis=0)
     constant = std == 0.0
     if constant.any():
         warnings.warn(
@@ -130,43 +159,51 @@ def normalize(data: Dataset, center: bool = False) -> Dataset:
             stacklevel=2,
         )
         std = np.where(constant, 1.0, std)
-    feats = data.features - mean if center else data.features
-    feats = feats / std
-    return Dataset(feats, data.targets.copy(), std, mean, True, center)
-
-
-@dataclass(frozen=True)
-class Normalizer:
-    """Feature scaling carried alongside a checkpoint."""
-
-    std: np.ndarray
-    mean: np.ndarray
-    centered: bool = False
-
-    def apply(self, features: np.ndarray) -> np.ndarray:
-        feats = np.asarray(features, dtype=np.float64)
-        if self.centered:
-            feats = feats - self.mean
-        return feats / self.std
+    norm = Normalizer(std, data.features.mean(axis=0), center)
+    return Dataset(norm.apply(data.features), data.targets.copy(), norm)
 
 
 _TARGET_NAME = re.compile(r"^y\d*$")
 
 
+def write_json(path, doc) -> None:
+    """Write ``doc`` as key-sorted, 2-space-indented JSON and a newline."""
+    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+
+
+def write_csv(path, header, rows) -> None:
+    """Write a header line and one comma-separated line per row: floats
+    as ``repr``, any other cell as ``str``; no quoting."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        for row in (header, *rows):
+            cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
+            fh.write(",".join(cells) + "\n")
+
+
+def parse_rows(path, rows, width: int | None = None) -> np.ndarray:
+    """Parse CSV rows, given as (1-based line number, cells) pairs, into a
+    float matrix of ``width`` columns (default: the first row's count);
+    a row with another count or a non-numeric cell names its line."""
+    if width is None:
+        width = len(rows[0][1]) if rows else 0
+    out = np.empty((len(rows), width))
+    for i, (line, cells) in enumerate(rows):
+        if len(cells) != width:
+            raise ValueError(f"{path}: line {line} has {len(cells)} cells, expected {width}")
+        try:
+            out[i] = [float(c) for c in cells]
+        except ValueError as e:
+            raise ValueError(f"{path}: line {line}: {e}") from None
+    return out
+
+
 def save_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV: header row, features first, targets in
     trailing columns named y (or y1..yq)."""
-    p = data.dim
     q = data.targets.shape[1]
-    names = [f"x{i + 1}" for i in range(p)]
+    names = [f"x{i + 1}" for i in range(data.dim)]
     names += ["y"] if q == 1 else [f"y{j + 1}" for j in range(q)]
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\n")
-        w.writerow(names)
-        for i in range(data.n):
-            row = [repr(float(v)) for v in data.features[i]]
-            row += [repr(float(v)) for v in data.targets[i]]
-            w.writerow(row)
+    write_csv(path, names, np.hstack([data.features, data.targets]).tolist())
 
 
 def load_csv(path) -> Dataset:
@@ -174,7 +211,7 @@ def load_csv(path) -> Dataset:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader)
-        rows = [r for r in reader if r]
+        rows = [(reader.line_num, r) for r in reader if r]
     is_target = [bool(_TARGET_NAME.match(name.strip())) for name in header]
     try:
         split = is_target.index(True)
@@ -182,7 +219,7 @@ def load_csv(path) -> Dataset:
         raise ValueError(f"{path}: no target columns (named y, y1, ...) found") from None
     if not all(is_target[split:]):
         raise ValueError(f"{path}: target columns must be trailing")
-    mat = np.asarray([[float(v) for v in r] for r in rows], dtype=np.float64)
+    mat = parse_rows(path, rows, len(header))
     return Dataset(mat[:, :split], mat[:, split:])
 
 
@@ -208,25 +245,6 @@ class MlpConfig:
         if self.activation not in ("gelu", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
-    def to_dict(self) -> dict:
-        return {
-            "input_dim": self.input_dim,
-            "hidden": list(self.hidden),
-            "output_dim": self.output_dim,
-            "activation": self.activation,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "MlpConfig":
-        return cls(
-            input_dim=int(d["input_dim"]),
-            hidden=tuple(d["hidden"]),
-            output_dim=int(d["output_dim"]),
-            activation=str(d["activation"]),
-            seed=int(d["seed"]),
-        )
-
 
 @dataclass
 class Mlp:
@@ -243,9 +261,6 @@ class Mlp:
                 raise ValueError(f"layer {i} has shape {w.shape}, expected {(dims[i+1], dims[i])}")
             if not (np.isfinite(w).all() and np.isfinite(b).all()):
                 raise ValueError(f"layer {i} contains non-finite values")
-
-    def copy(self) -> "Mlp":
-        return Mlp([w.copy() for w in self.weights], [b.copy() for b in self.biases], self.config)
 
 
 def init_mlp(cfg: MlpConfig) -> Mlp:
@@ -394,22 +409,14 @@ class TrainingReport:
 
 
 def _loss_and_grad(pred: np.ndarray, y: np.ndarray, classification: bool):
-    if classification:
-        p = _softmax(pred)
-        eps = 1e-12
-        loss = -np.sum(y * np.log(p + eps)) / len(y)
-        return loss, (p - y) / len(y)
-    diff = pred - y
-    return np.mean(diff * diff), 2.0 * diff / diff.size
-
-
-def _val_loss(model: Mlp, x: np.ndarray, y: np.ndarray, classification: bool) -> float:
-    pred = forward(model, x)
+    """Mean loss and its gradient in ``pred``: softmax cross-entropy by an
+    exact log-softmax for classification, squared error otherwise."""
     if classification:
         z = pred - pred.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return float(-np.sum(y * logp) / len(y))
-    return float(np.mean((pred - y) ** 2))
+        return float(-np.sum(y * logp) / len(y)), (_softmax(pred) - y) / len(y)
+    diff = pred - y
+    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
 def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, TrainingReport]:
@@ -487,7 +494,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
                     slopes.append(slope)
                 acts.append(h)
             loss, delta = _loss_and_grad(h, yb, classification)
-            epoch_loss += float(loss) * len(idx)
+            epoch_loss += loss * len(idx)
             # backward
             grads_w = [None] * nlayers
             grads_b = [None] * nlayers
@@ -512,7 +519,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
                     p -= tcfg.learning_rate * g
 
         train_loss = epoch_loss / len(x_tr)
-        val_loss = _val_loss(model, x_va, y_va, classification)
+        val_loss, _ = _loss_and_grad(forward(model, x_va), y_va, classification)
         if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
             raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
         train_losses.append(train_loss)
@@ -546,7 +553,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
 
 def save_model(model: Mlp, path, normalizer: Normalizer | None = None) -> None:
     doc = {
-        "config": model.config.to_dict(),
+        "config": asdict(model.config),
         "layers": [
             {"weights": w.tolist(), "bias": b.tolist()}
             for w, b in zip(model.weights, model.biases)
@@ -558,20 +565,13 @@ def save_model(model: Mlp, path, normalizer: Normalizer | None = None) -> None:
             "mean": normalizer.mean.tolist(),
             "centered": normalizer.centered,
         }
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+    write_json(path, doc)
 
 
 def load_model(path) -> tuple[Mlp, Normalizer | None]:
     doc = json.loads(Path(path).read_text())
-    cfg = MlpConfig.from_dict(doc["config"])
+    cfg = MlpConfig(**doc["config"])
     weights = [np.asarray(l["weights"], dtype=np.float64) for l in doc["layers"]]
     biases = [np.asarray(l["bias"], dtype=np.float64) for l in doc["layers"]]
-    norm = None
-    if "normalizer" in doc:
-        nd = doc["normalizer"]
-        norm = Normalizer(
-            np.asarray(nd["std"], dtype=np.float64),
-            np.asarray(nd["mean"], dtype=np.float64),
-            bool(nd["centered"]),
-        )
+    norm = Normalizer(**doc["normalizer"]) if "normalizer" in doc else None
     return Mlp(weights, biases, cfg), norm

@@ -19,7 +19,7 @@ holding one index tuple per batch row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from itertools import combinations, permutations, product
 
 import numpy as np
@@ -335,12 +335,5 @@ def salience_document(tensor: SalienceTensor, opts: CamOptions, top: int) -> dic
         "tuples": [
             {"set": list(s), "salience": v} for s, v in top_interactions(tensor, top)
         ],
-        "options": {
-            "local_k": opts.local_k,
-            "square": opts.square,
-            "symmetrize": opts.symmetrize,
-            "zero_diagonal": opts.zero_diagonal,
-            "sum_before_square": opts.sum_before_square,
-            "rectify": opts.rectify,
-        },
+        "options": asdict(opts),
     }

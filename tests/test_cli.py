@@ -11,7 +11,14 @@ from xdiff import __main__ as xdiff_main
 from xdiff import cli
 from xdiff.autodiff import SingularityError
 from xdiff.cli import main
-from xdiff.mlp import Dataset, save_csv
+from xdiff.mlp import (
+    Dataset,
+    MlpConfig,
+    Normalizer,
+    init_mlp,
+    save_csv,
+    save_model,
+)
 
 
 def _read_run(out_dir):
@@ -207,6 +214,34 @@ def test_cam_rejects_bad_grid(tmp_path, small_csv):
     assert code == 1
 
 
+def test_cam_rejects_a_ragged_grid_naming_its_line(tmp_path, small_csv, capsys):
+    model = _train_toy(tmp_path, small_csv)
+    grid = tmp_path / "ragged.csv"
+    grid.write_text("a,b\n0.4,-0.2\n0.1\n")
+    code = main(["cam", "--model", str(model), "--grid", str(grid),
+                 "--out-dir", str(tmp_path / "cam")])
+    assert code == 1
+    assert "line 3 has 1 cells, expected 2" in capsys.readouterr().err
+
+
+def test_width_mismatch_names_both_widths(tmp_path, small_csv, capsys):
+    wide = tmp_path / "wide.json"
+    save_model(init_mlp(MlpConfig(input_dim=10, hidden=(4,))), wide,
+               normalizer=Normalizer(np.ones(10), np.zeros(10)))
+    code = main(["detect", "--model", str(wide), "--data", str(small_csv),
+                 "--max-order", "2", "--out-dir", str(tmp_path / "det")])
+    assert code == 1
+    assert "expects 10 features, got 4" in capsys.readouterr().err
+
+    model = _train_toy(tmp_path, small_csv)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.1,0.2,0.3\n0.4,0.5,0.6\n")
+    code = main(["cam", "--model", str(model), "--grid", str(grid),
+                 "--out-dir", str(tmp_path / "cam")])
+    assert code == 1
+    assert "expects 4 features, got 6" in capsys.readouterr().err
+
+
 def test_cam_layout_flag(tmp_path, small_csv):
     model = _train_toy(tmp_path, small_csv)
     grid = tmp_path / "grid.csv"
@@ -242,7 +277,7 @@ def test_analytic_sweep_row_count(tmp_path):
     assert "Mean Of Mean-Min-Mode-Rand" in labels
 
 
-def test_sweep_trains_for_fewer_epochs_than_the_default_patience(tmp_path):
+def test_sweep_trains_for_fewer_epochs_than_the_default_patience(tmp_path, small_csv):
     out = tmp_path / "sw"
     code = main([
         "sweep", "--function", "F8", "--samples", "300", "--epochs", "3",
@@ -251,6 +286,16 @@ def test_sweep_trains_for_fewer_epochs_than_the_default_patience(tmp_path):
     assert code == 0
     assert _read_run(out)["status"] == "ok"
     assert len((out / "sweep.csv").read_text().splitlines()) == 1 + 315
+
+    # train and cam-demo cap the default patience of 10 at --epochs too
+    for argv in (
+        ["train", "--data", str(small_csv), "--hidden", "8", "--epochs", "3"],
+        ["cam-demo", "--seeds", "1", "--grids", "80", "--epochs", "3",
+         "--test-grids", "1", "--hidden", "8", "--no-svg"],
+    ):
+        out = tmp_path / argv[0]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        assert _read_run(out)["status"] == "ok"
 
 
 def test_suite_single_function(tmp_path):

@@ -24,6 +24,7 @@ from xdiff.mlp import (
     Dataset,
     Mlp,
     MlpConfig,
+    Normalizer,
     TrainConfig,
     init_mlp,
     normalize,
@@ -305,7 +306,8 @@ def test_detect_dimension_mismatch():
 
 def _five_column_data():
     data = normalize(bm.sample_dataset("F9", 50, seed=0))
-    return Dataset(data.features[:, :5], data.targets, normalized=True)
+    norm = Normalizer(data.normalizer.std[:5], data.normalizer.mean[:5])
+    return Dataset(data.features[:, :5], data.targets, norm)
 
 
 @pytest.mark.parametrize(
@@ -343,8 +345,7 @@ def test_squared_multiclass_flag():
     data = Dataset(
         np.random.default_rng(1).normal(size=(60, 4)),
         np.zeros((60, 3)),
-        feature_std=np.ones(4),
-        normalized=True,
+        Normalizer(np.ones(4), np.zeros(4)),
     )
     dcfg = DetectConfig(
         max_order=2, task="classification", class_index=1, squared_multiclass=True

@@ -41,9 +41,9 @@ def test_normalize_scales_by_population_std():
     np.testing.assert_allclose(
         out.features[:, 0], [1.2247, 2.4495, 3.6742], atol=5e-5
     )
-    assert out.normalized and not out.centered
+    assert out.normalized and not out.normalizer.centered
     # mean recorded but not subtracted
-    assert out.feature_mean[0] == pytest.approx(4.0)
+    assert out.normalizer.mean[0] == pytest.approx(4.0)
 
 
 def test_normalize_constant_column_warns():
@@ -58,6 +58,14 @@ def test_normalize_unit_std_is_noop():
     data = Dataset(np.array([[0.0], [2.0]]), np.zeros((2, 1)))  # population std 1
     out = normalize(data)
     np.testing.assert_allclose(out.features, data.features, rtol=1e-12)
+
+
+@pytest.mark.parametrize("center", [False, True])
+def test_normalizer_reproduces_the_normalized_features(center):
+    data = _toy(n=50, seed=3)
+    out = normalize(data, center=center)
+    assert out.normalizer.centered is center
+    np.testing.assert_array_equal(out.normalizer.apply(data.features), out.features)
 
 
 def test_normalize_twice_rejected():
@@ -191,6 +199,19 @@ def test_train_learns_linear_map():
     assert report.best_val_loss == min(report.val_losses)
 
 
+def test_classification_train_reports_its_best_validation_loss():
+    rng = np.random.default_rng(5)
+    x = rng.normal(size=(200, 2))
+    labels = (x[:, 0] * x[:, 1] > 0).astype(int)
+    data = normalize(Dataset(x, np.eye(2)[labels]))
+    _, report = train(
+        data,
+        MlpConfig(input_dim=2, hidden=(8,), output_dim=2, seed=5),
+        TrainConfig(max_epochs=8, patience=8, seed=5),
+    )
+    assert report.best_val_loss == min(report.val_losses)
+
+
 def test_train_is_deterministic():
     data = normalize(_toy(n=200))
     mcfg = MlpConfig(input_dim=3, hidden=(8,), seed=4)
@@ -312,9 +333,7 @@ def test_checkpoint_roundtrip(tmp_path):
 def test_checkpoint_carries_normalizer(tmp_path):
     data = normalize(_toy(seed=6), center=True)
     model = init_mlp(MlpConfig(input_dim=3, hidden=(4,), seed=6))
-    from xdiff.mlp import Normalizer
-
-    norm = Normalizer(std=data.feature_std, mean=data.feature_mean, centered=True)
+    norm = data.normalizer
     path = tmp_path / "model.json"
     save_model(model, path, normalizer=norm)
     _, loaded = load_model(path)
@@ -323,6 +342,16 @@ def test_checkpoint_carries_normalizer(tmp_path):
     np.testing.assert_array_equal(loaded.mean, norm.mean)
     doc = json.loads(path.read_text())
     assert set(doc) == {"config", "layers", "normalizer"}
+
+
+def test_checkpoint_rejects_unknown_config_key(tmp_path):
+    path = tmp_path / "model.json"
+    save_model(init_mlp(MlpConfig(input_dim=2, hidden=(3,))), path)
+    doc = json.loads(path.read_text())
+    doc["config"]["dropout"] = 0.5
+    path.write_text(json.dumps(doc))
+    with pytest.raises(TypeError, match="dropout"):
+        load_model(path)
 
 
 def test_csv_roundtrip(tmp_path):
@@ -352,6 +381,13 @@ def test_csv_rejects_missing_or_misplaced_targets(tmp_path):
         load_csv(p)
     p.write_text("x1,y,x2\n1,2,3\n")
     with pytest.raises(ValueError, match="trailing"):
+        load_csv(p)
+
+
+def test_csv_with_a_short_row_names_its_line(tmp_path):
+    p = tmp_path / "ragged.csv"
+    p.write_text("x1,x2,y\n1,2,3\n\n4,5\n")
+    with pytest.raises(ValueError, match="line 4 has 2 cells, expected 3"):
         load_csv(p)
 
 
