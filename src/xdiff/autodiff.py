@@ -11,7 +11,15 @@ partitions), evaluated as a recurrence over submasks: the coefficients
 of f^(j)(g) on a subset S sum, over the blocks B of S holding S's lowest
 tag, g[B] times the coefficients of f^(j+1)(g) on S minus B.  Both rules
 are closed on the lattice precisely because no variable is ever
-differentiated twice.
+differentiated twice.  The recurrence visits only the blocks B that are
+nonzero somewhere in the batch (of two or more elements): a dense g
+costs about 3^t products per element, while a value plus one direction
+per tag (the first hidden layer of a seeded network) costs about
+2^(t+1), the closed form f^(|S|)(g_0) times the product of the
+directions.  The dropped terms are +-0 * x, so the result equals the
+full recurrence's wherever that is finite and nonzero; an exact zero
+may change sign, and 0 * inf = NaN from an infinite derivative becomes
+a finite or infinite value.
 
 The module also hosts the ordinary-derivative tables of the elementary
 functions (ElementaryTable) and two entry points used throughout the
@@ -107,6 +115,15 @@ def _chain_pairs(t: int):
     return levels
 
 
+@lru_cache(maxsize=32)
+def _live_chain_pairs(t: int, live: bytes):
+    """_chain_pairs(t) without the pairs whose block B is dead: ``live``
+    holds one byte per mask of g, zero where that mask is zero across the
+    whole batch."""
+    keep = np.frombuffer(live, dtype=bool)
+    return [[(ib[keep[ib]], ir[keep[ib]]) for ib, ir in level] for level in _chain_pairs(t)]
+
+
 def lattice_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
     """Leibniz product of two coefficient arrays (subset axis last)."""
     k = 1 << t
@@ -127,13 +144,31 @@ def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarr
     whose lowest tag is i sums g[B] * level_{j+1}[S ^ B] over the submasks
     B of S that hold i.  Level t is f^(t)(g_0) alone and level 0 is the
     result; two levels are alive at a time.
+
+    Only live blocks enter the sums: a mask B of g is live when g[..., B]
+    is nonzero somewhere in the batch.  Where g holds a value and one
+    direction per tag (a first hidden layer fed seeded inputs), each
+    nonempty S keeps the single pair B = {i}, and S = {i1 < ... < ik}
+    comes out as a_i1 * (a_i2 * (... * (a_ik * f^(k)(g_0)))), about
+    2^(t+1) products per element; a dense g keeps every pair, about 3^t.
+    The terms dropped are +-0 * x, so the result equals the full
+    recurrence's wherever that result is finite and nonzero.  An
+    exact-zero coefficient may change sign, and where f^(k)(g_0) is
+    infinite (or NaN) the full recurrence's 0 * inf = NaN becomes a
+    finite or infinite value.  That needs the rows of each sum added one
+    after another, which numpy does for a batch of two or more columns;
+    a single column (one unbatched element) is summed pairwise, where
+    dropping a zero would regroup the other terms, so it keeps every pair.
     """
     x0 = g[..., 0]
     table.check(x0)
     deriv = table.series(t, x0)
     # Subset axis first, so that each gather takes whole contiguous rows.
     gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
-    chain = _chain_pairs(t)
+    if gt.shape[1] > 1:
+        chain = _live_chain_pairs(t, np.any(gt != 0.0, axis=1).tobytes())
+    else:
+        chain = _chain_pairs(t)
     below = None
     for j in range(t, -1, -1):
         level = np.empty((1 << (t - j), gt.shape[1]), dtype=np.float64)

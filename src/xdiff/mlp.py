@@ -2,8 +2,10 @@
 
 The model is a plain affine stack with GELU (or ReLU) hidden activations
 and a linear head, trained by minibatch Adam or SGD with early stopping
-on a validation split.  Everything is seeded and single-threaded, so a
-given (data, config) pair reproduces bit-identical weights.
+on a validation split.  Everything is seeded and runs in one Python
+thread, so a given (data, config) pair reproduces bit-identical weights
+under a fixed BLAS thread count; the matrix products sum in another
+order at another OpenBLAS thread count, and the weights then differ.
 
 ``forward`` is generic over the scalar type: plain arrays evaluate
 normally, and lists of CrossDuals are pushed through the same affine and
@@ -210,7 +212,9 @@ def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv (or any CSV with trailing y* columns)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
-        header = next(reader)
+        header = next(reader, None)
+        if header is None:
+            raise ValueError(f"{path}: empty file, no header row")
         rows = [(reader.line_num, r) for r in reader if r]
     is_target = [bool(_TARGET_NAME.match(name.strip())) for name in header]
     try:

@@ -3,9 +3,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import xdiff
+
+
+def pytest_report_header(config):
+    """The setup the byte-determinism tests ran under: matrix products sum
+    in an order that depends on the BLAS thread count."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+        blas = f"{blas['name']} {blas['version']}"
+    except Exception:  # numpy before 1.26 has no dict mode
+        blas = "unknown"
+    cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    env = ", ".join(
+        f"{v}={os.environ.get(v, 'unset')}" for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")
+    )
+    return f"nproc: {cores}, numpy {np.__version__}, BLAS: {blas}, {env}"
 
 
 @pytest.fixture()

@@ -1,10 +1,11 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from xdiff import autodiff as ad
+from xdiff import autodiff as ad, mlp
 from xdiff.autodiff import (
     CapacityError,
     CrossDual,
@@ -413,6 +414,108 @@ def test_lattice_compose_matches_set_partition_sum_at_eight_tags():
     _assert_lattice_close(
         lattice_compose(ad.GELU, g, MAX_TAGS), _compose_by_partitions(ad.GELU, g, MAX_TAGS)
     )
+
+
+# --- lattice_compose sums only the blocks B that are nonzero somewhere in
+# the batch; the dropped terms are +-0 * x, so on finite data it must match
+# the recurrence over every submask pair exactly, not just to rounding
+
+
+def _compose_full(table, g, t):
+    """lattice_compose's recurrence over every pair of _chain_pairs."""
+    x0 = g[..., 0]
+    deriv = table.series(t, x0)
+    gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
+    below = None
+    for j in range(t, -1, -1):
+        level = np.empty((1 << (t - j), gt.shape[1]))
+        level[0] = np.reshape(deriv[j], -1)
+        for k, (ib, ir) in enumerate(ad._chain_pairs(t)[j], start=1):
+            level[k] = np.sum(gt[ib] * below[ir], axis=0)
+        below = level
+    return np.ascontiguousarray(np.moveaxis(below.reshape(g.shape[-1:] + x0.shape), 0, -1))
+
+
+@pytest.mark.parametrize("table,x0", TABLE_POINTS, ids=lambda v: getattr(v, "name", v))
+def test_lattice_compose_with_dead_masks_matches_full_recurrence(table, x0):
+    rng = np.random.default_rng(15)
+    for t in range(1, 8):
+        # a batch (summed row by row) and one unbatched element (summed pairwise)
+        for shape in ((3, 2), ()):
+            for _ in range(3):
+                g = rng.normal(size=shape + (1 << t,))
+                g[..., 0] = x0 + 0.05 * rng.uniform(-1.0, 1.0, size=shape)
+                dead = 1 + np.flatnonzero(rng.random((1 << t) - 1) < 0.5)
+                g[..., dead] = np.where(rng.random(dead.size) < 0.5, 0.0, -0.0)
+                g[..., 1:][rng.random(g[..., 1:].shape) < 0.1] = 0.0  # zeros inside live masks
+                want = _compose_full(table, g, t)
+                np.testing.assert_array_equal(lattice_compose(table, g, t), want)
+
+
+def _detect_seeds(row, candidates, t):
+    arr = np.zeros((len(candidates), row.size, 1 << t))
+    arr[..., 0] = row
+    tags = np.asarray(candidates)
+    arr[np.arange(len(tags))[:, None], tags, 1 << np.arange(t)] = 1.0
+    return arr
+
+
+def _salience_seeds(x, tuples, t, local):
+    tups = np.asarray(tuples)
+    rows = np.arange(len(tups))
+    arr = np.zeros((len(tups),) + x.shape + (1 << t,))
+    arr[..., 0] = x
+    if local:
+        arr[rows, tups[:, 0], :, 1] = x[tups[:, 0]]
+    else:
+        arr[..., 1] = x[tups[:, 0]][:, None, :]
+    for tag in range(1, t):
+        arr[rows, tups[:, tag], :, 1 << tag] = 1.0
+    return arr.reshape(len(tups), -1, 1 << t)
+
+
+def test_forward_lattice_matches_full_recurrence(monkeypatch):
+    rng = np.random.default_rng(16)
+    x = rng.normal(size=(4, 2))
+    net = mlp.init_mlp(mlp.MlpConfig(input_dim=x.size, hidden=(9, 7, 5), seed=3))
+    net = mlp.Mlp(net.weights, [rng.normal(size=b.shape) for b in net.biases], net.config)
+    seeds = []
+    for t in range(1, 8):
+        candidates = list(itertools.combinations(range(x.size), t))
+        seeds.append((_detect_seeds(x.ravel(), candidates, t), t))
+    for t in range(1, 5):
+        tuples = list(itertools.permutations(range(x.shape[0]), t))
+        seeds += [(_salience_seeds(x, tuples, t, local), t) for local in (True, False)]
+    got = [mlp.forward_lattice(net, arr, t) for arr, t in seeds]
+    monkeypatch.setattr(mlp, "lattice_compose", _compose_full)
+    for (arr, t), out in zip(seeds, got):
+        np.testing.assert_array_equal(out, mlp.forward_lattice(net, arr, t))
+
+
+# --- a value plus one direction per tag (a first hidden layer's input):
+# Faa di Bruno keeps one partition, so S = {i1 < ... < ik} is
+# a_i1 * (a_i2 * (... * (a_ik * f^(k)(g_0)))), multiplied in that order
+
+
+@pytest.mark.parametrize("table,x0", TABLE_POINTS, ids=lambda v: getattr(v, "name", v))
+def test_lattice_compose_on_singletons_is_the_closed_form(table, x0):
+    rng = np.random.default_rng(17)
+    for t in range(1, MAX_TAGS + 1):
+        for shape in ((4, 3), ()):
+            g = np.zeros(shape + (1 << t,))
+            g[..., 0] = x0 + 0.05 * rng.uniform(-1.0, 1.0, size=shape)
+            for i in range(t):
+                g[..., 1 << i] = rng.normal(size=shape)
+            series = table.series(t, g[..., 0])
+            want = np.empty_like(g)
+            want[..., 0] = series[0]
+            for s in range(1, 1 << t):
+                tags = [i for i in range(t) if s >> i & 1]
+                term = series[len(tags)]
+                for i in reversed(tags):
+                    term = g[..., 1 << i] * term
+                want[..., s] = term
+            np.testing.assert_array_equal(lattice_compose(table, g, t), want)
 
 
 def test_gelu_table_matches_erf_construction():

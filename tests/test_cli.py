@@ -123,6 +123,17 @@ def test_unexpected_exception_still_finishes_run(tmp_path, monkeypatch, capsys, 
     assert f"error: {message}" in capsys.readouterr().err
 
 
+def test_empty_csv_reports_the_file(tmp_path, capsys):
+    empty = tmp_path / "empty.csv"
+    empty.write_bytes(b"")
+    code = main(["train", "--data", str(empty), "--out-dir", str(tmp_path / "out")])
+    assert code == 1
+    run = _read_run(tmp_path / "out")
+    assert run["status"] == "error"
+    assert run["error"] == f"{empty}: empty file, no header row"
+    assert f"error: {empty}: empty file" in capsys.readouterr().err
+
+
 def test_missing_model_file_is_io_error(tmp_path, small_csv):
     code = main([
         "detect", "--model", str(tmp_path / "absent.json"),
