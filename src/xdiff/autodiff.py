@@ -19,7 +19,11 @@ per tag (the first hidden layer of a seeded network) costs about
 directions.  The dropped terms are +-0 * x, so the result equals the
 full recurrence's wherever that is finite and nonzero; an exact zero
 may change sign, and 0 * inf = NaN from an infinite derivative becomes
-a finite or infinite value.
+a finite or infinite value.  The recurrence reads contiguous copies of
+g's live rows and adds each mask's sum up in place, pair by pair in the
+order np.sum adds the rows of a batch, so its bytes are those of
+gathering the pairs and calling np.sum; a single column, which np.sum
+adds pairwise, keeps that gather and np.sum over every pair.
 
 The module also hosts the ordinary-derivative tables of the elementary
 functions (ElementaryTable) and two entry points used throughout the
@@ -117,11 +121,14 @@ def _chain_pairs(t: int):
 
 @lru_cache(maxsize=32)
 def _live_chain_pairs(t: int, live: bytes):
-    """_chain_pairs(t) without the pairs whose block B is dead: ``live``
-    holds one byte per mask of g, zero where that mask is zero across the
-    whole batch."""
-    keep = np.frombuffer(live, dtype=bool)
-    return [[(ib[keep[ib]], ir[keep[ib]]) for ib, ir in level] for level in _chain_pairs(t)]
+    """Per level j and per nonempty mask of _chain_pairs(t), the (B, rest)
+    pairs as Python ints, without the pairs whose block B is dead:
+    ``live`` holds one byte per mask of g, zero where that mask is zero
+    across the whole batch."""
+    return [
+        [[(b, r) for b, r in zip(ib.tolist(), ir.tolist()) if live[b]] for ib, ir in level]
+        for level in _chain_pairs(t)
+    ]
 
 
 def lattice_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
@@ -155,28 +162,60 @@ def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarr
     recurrence's wherever that result is finite and nonzero.  An
     exact-zero coefficient may change sign, and where f^(k)(g_0) is
     infinite (or NaN) the full recurrence's 0 * inf = NaN becomes a
-    finite or infinite value.  That needs the rows of each sum added one
-    after another, which numpy does for a batch of two or more columns;
-    a single column (one unbatched element) is summed pairwise, where
-    dropping a zero would regroup the other terms, so it keeps every pair.
+    finite or infinite value.
+
+    The live rows of g are copied once into contiguous arrays (the
+    subset-first view of g is strided), and each S's sum is added up in
+    place in its level row: the first pair's product is written there,
+    and each further product goes through one scratch row and is added,
+    pair by pair in _chain_pairs order.  That is the order in which
+    np.sum adds the rows of a batch of two or more columns, and the
+    result carries np.sum's +0.0 start (a -0.0 coefficient becomes +0.0),
+    so the bytes are those of the gather-and-np.sum recurrence.  A single
+    column (one unbatched element) is summed pairwise by np.sum, where
+    dropping a zero would regroup the other terms, so it keeps the gather
+    and np.sum over every pair.
     """
     x0 = g[..., 0]
     table.check(x0)
     deriv = table.series(t, x0)
-    # Subset axis first, so that each gather takes whole contiguous rows.
-    gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
-    if gt.shape[1] > 1:
-        chain = _live_chain_pairs(t, np.any(gt != 0.0, axis=1).tobytes())
-    else:
-        chain = _chain_pairs(t)
+    top = _compose_levels(deriv, np.moveaxis(g, -1, 0).reshape(1 << t, -1), t)
+    return np.ascontiguousarray(np.moveaxis(top.reshape(g.shape[-1:] + x0.shape), 0, -1))
+
+
+def _compose_levels(deriv: list, gt: np.ndarray, t: int) -> np.ndarray:
+    """lattice_compose's levels t..0 on the subset-first view gt of g;
+    returns level 0, so the row copies are freed before the caller's
+    transposing copy."""
+    n = gt.shape[1]
+    if n != 1:
+        live = np.any(gt != 0.0, axis=1)
+        chain = _live_chain_pairs(t, live.tobytes())
+        masks = np.flatnonzero(live[1:]) + 1  # mask 0 is never a block B
+        rows = {b: gt[b].copy() for b in masks.tolist()}
+        tmp = np.empty(n)
     below = None
     for j in range(t, -1, -1):
-        level = np.empty((1 << (t - j), gt.shape[1]), dtype=np.float64)
+        level = np.empty((1 << (t - j), n), dtype=np.float64)
         level[0] = np.reshape(deriv[j], -1)
-        for k, (ib, ir) in enumerate(chain[j], start=1):
-            np.sum(gt[ib] * below[ir], axis=0, out=level[k])
+        if n == 1:
+            for k, (ib, ir) in enumerate(_chain_pairs(t)[j], start=1):
+                np.sum(gt[ib] * below[ir], axis=0, out=level[k])
+        else:
+            for acc, pairs in zip(level[1:], chain[j]):
+                if not pairs:
+                    acc[:] = 0.0
+                    continue
+                (b, r), *more = pairs
+                np.multiply(rows[b], below[r], out=acc)
+                for b, r in more:
+                    np.multiply(rows[b], below[r], out=tmp)
+                    acc += tmp
         below = level
-    return np.ascontiguousarray(np.moveaxis(below.reshape(g.shape[-1:] + x0.shape), 0, -1))
+    # np.sum starts from +0.0, so none of its sums is -0.0.  The sign of a
+    # zero moves no other value, so setting it on level 0 alone suffices.
+    below[1:] += 0.0
+    return below
 
 
 # ---------------------------------------------------------------------------

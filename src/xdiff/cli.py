@@ -292,6 +292,8 @@ def _cmd_suite(args, run: Run) -> None:
 
 
 def _cmd_cam(args, run: Run) -> None:
+    if args.svg and args.order != 2:
+        raise CliError(f"--svg renders an order-2 tensor; --order is {args.order}")
     model, norm = load_model(args.model)
     layout = _parse_layout(args.layout)
     grid = _load_grid(args.grid, layout)

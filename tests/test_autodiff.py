@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -450,6 +451,68 @@ def test_lattice_compose_with_dead_masks_matches_full_recurrence(table, x0):
                 g[..., 1:][rng.random(g[..., 1:].shape) < 0.1] = 0.0  # zeros inside live masks
                 want = _compose_full(table, g, t)
                 np.testing.assert_array_equal(lattice_compose(table, g, t), want)
+
+
+def _assert_same_bytes(got, want):
+    # assert_array_equal alone takes -0.0 for +0.0
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
+
+def _dense_lattice(rng, x0, shape, t):
+    g = rng.normal(size=shape + (1 << t,))
+    g[..., 0] = x0 + 0.05 * rng.uniform(-1.0, 1.0, size=shape)
+    zeros = rng.random(g[..., 1:].shape) < 0.1
+    g[..., 1:][zeros] = np.where(rng.random(zeros.sum()) < 0.5, 0.0, -0.0)
+    return g
+
+
+def _singleton_lattice(rng, x0, shape, t):
+    g = np.zeros(shape + (1 << t,))
+    g[..., 0] = x0 + 0.05 * rng.uniform(-1.0, 1.0, size=shape)
+    for i in range(t):
+        g[..., 1 << i] = rng.normal(size=shape) * (rng.random(shape) < 0.8)
+    return g
+
+
+@pytest.mark.parametrize("table,x0", TABLE_POINTS, ids=lambda v: getattr(v, "name", v))
+def test_lattice_compose_keeps_the_bytes_of_the_full_recurrence(table, x0):
+    """The in-place sums over contiguous row copies give np.sum's bytes,
+    signed zeros included, for any memory layout of g, and leave g alone."""
+    rng = np.random.default_rng(18)
+    t = MAX_TAGS
+    cases = [_dense_lattice(rng, x0, (3, 2), t), _singleton_lattice(rng, x0, (4, 3), t)]
+    big = _dense_lattice(rng, x0, (4, 6), 5)
+    wide = _dense_lattice(rng, x0, (3, 4), 6)
+    cases += [
+        big[:, ::2, :],
+        np.asfortranarray(big),
+        wide[..., ::2],  # a strided subset axis: t = 5 over every other mask
+        np.zeros((0, 7, 1 << 5)),
+    ]
+    for g in cases:
+        t = int(g.shape[-1]).bit_length() - 1
+        before = g.copy()
+        got = lattice_compose(table, g, t)
+        _assert_same_bytes(got, _compose_full(table, g, t))
+        assert got.shape == g.shape and got.flags.c_contiguous
+        _assert_same_bytes(g, before)
+
+
+@pytest.mark.parametrize("shape,t", [((512, 64), 4), ((32, 100), 7)])
+@pytest.mark.parametrize("make", [_dense_lattice, _singleton_lattice])
+def test_lattice_compose_peak_memory_is_bounded_by_its_result(shape, t, make):
+    """Row copies, scratch row and levels stay within 3x the result."""
+    g = make(np.random.default_rng(19), -0.7, shape, t)
+    lattice_compose(ad.GELU, g, t)  # fill the memo of live pairs first
+    tracemalloc.start()
+    try:
+        out = lattice_compose(ad.GELU, g, t)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.0 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the result"
 
 
 def _detect_seeds(row, candidates, t):

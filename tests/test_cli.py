@@ -253,6 +253,22 @@ def test_width_mismatch_names_both_widths(tmp_path, small_csv, capsys):
     assert "expects 4 features, got 6" in capsys.readouterr().err
 
 
+def test_cam_svg_with_another_order_fails_before_any_work(tmp_path, small_csv, capsys):
+    model = _train_toy(tmp_path, small_csv)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.4,-0.2\n0.1,0.9\n")
+    out = tmp_path / "cam"
+    code = main(["cam", "--model", str(model), "--grid", str(grid), "--order", "3",
+                 "--svg", "heat.svg", "--out-dir", str(out)])
+    assert code == 1
+    run = _read_run(out)
+    assert run["status"] == "error"
+    assert "--svg" in run["error"] and "--order" in run["error"]
+    assert run["artifacts"] == {}
+    assert not (out / "cam.json").exists() and not (out / "heat.svg").exists()
+    assert "--svg" in capsys.readouterr().err
+
+
 def test_cam_layout_flag(tmp_path, small_csv):
     model = _train_toy(tmp_path, small_csv)
     grid = tmp_path / "grid.csv"
