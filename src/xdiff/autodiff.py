@@ -175,18 +175,34 @@ def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarr
     column (one unbatched element) is summed pairwise by np.sum, where
     dropping a zero would regroup the other terms, so it keeps the gather
     and np.sum over every pair.
+
+    When g has two or more rows whose values g[..., 0] all equal the
+    first row's bit for bit (one detect representative or one salience
+    grid seeded many ways), the derivative series f^(j)(g_0) is computed
+    on the first row alone and broadcast; it is elementwise, so the bytes
+    are those of the series over the whole batch.
     """
     x0 = g[..., 0]
     table.check(x0)
-    deriv = table.series(t, x0)
+    series = table.series(t, x0[:1] if _rows_equal(x0) else x0)
+    deriv = [np.broadcast_to(d, x0.shape) for d in series]
     top = _compose_levels(deriv, np.moveaxis(g, -1, 0).reshape(1 << t, -1), t)
     return np.ascontiguousarray(np.moveaxis(top.reshape(g.shape[-1:] + x0.shape), 0, -1))
 
 
+def _rows_equal(x0: np.ndarray) -> bool:
+    """Whether x0 has two or more rows, all bitwise equal to the first
+    (a -0.0 does not equal a +0.0 here: series values may carry its sign)."""
+    if x0.ndim == 0 or len(x0) < 2:
+        return False
+    first = x0[:1]
+    return bool((x0 == first).all() and (np.signbit(x0) == np.signbit(first)).all())
+
+
 def _compose_levels(deriv: list, gt: np.ndarray, t: int) -> np.ndarray:
-    """lattice_compose's levels t..0 on the subset-first view gt of g;
-    returns level 0, so the row copies are freed before the caller's
-    transposing copy."""
+    """lattice_compose's levels t..0 on the subset-first view gt of g,
+    from the series f^(j)(g_0) shaped like g_0; returns level 0, so the
+    row copies are freed before the caller's transposing copy."""
     n = gt.shape[1]
     if n != 1:
         live = np.any(gt != 0.0, axis=1)
@@ -197,7 +213,7 @@ def _compose_levels(deriv: list, gt: np.ndarray, t: int) -> np.ndarray:
     below = None
     for j in range(t, -1, -1):
         level = np.empty((1 << (t - j), n), dtype=np.float64)
-        level[0] = np.reshape(deriv[j], -1)
+        level[0].reshape(deriv[j].shape)[...] = deriv[j]
         if n == 1:
             for k, (ib, ir) in enumerate(_chain_pairs(t)[j], start=1):
                 np.sum(gt[ib] * below[ir], axis=0, out=level[k])

@@ -250,7 +250,7 @@ def _detect_config(args) -> DetectConfig:
 def _cmd_detect(args, run: Run) -> None:
     model, norm = load_model(args.model)
     data = _normalized_input(norm, load_csv(args.data))
-    ranking = detect(model, data, _detect_config(args), threads=args.threads)
+    ranking = detect(model, data, _detect_config(args))
     out = _out_path(args, args.out)
     write_json(out, ranking_document(ranking))
     run.artifact(out)
@@ -270,9 +270,7 @@ def _cmd_sweep(args, run: Run) -> None:
         model, _ = train(data, mcfg, tcfg)
     cfg = DetectConfig(max_order=args.max_order, full_order=args.full_order,
                        top_k=args.top_k, seed=args.seed)
-    rows = aggregation_sweep(
-        model, data, cfg, lambda r: mean_truth_auc(r, truth), threads=args.threads
-    )
+    rows = aggregation_sweep(model, data, cfg, lambda r: mean_truth_auc(r, truth))
     out = _out_path(args, args.out)
     write_csv(out, ("label", "score"), [(r.label, r.score) for r in rows])
     run.artifact(out)
@@ -377,8 +375,8 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None,
                         help="base RNG seed (default: XDIFF_SEED env var, else 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="threads scoring representatives in detect and sweep; "
-                             "ignored elsewhere; never changes output bytes")
+                        help="accepted by every subcommand and used by none yet "
+                             "(every subcommand runs serially); never changes output bytes")
     common.add_argument("--out-dir", default=".", help="directory for artifacts and run.json")
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))

@@ -16,7 +16,6 @@ order and representative, with one candidate per batch row.
 
 from __future__ import annotations
 
-import concurrent.futures
 import logging
 import warnings
 from dataclasses import asdict, dataclass, replace
@@ -292,12 +291,10 @@ def _aggregate(
     return orders
 
 
-def _profile_pass(model, data: Dataset, cfg: DetectConfig, threads: int):
+def _profile_pass(model, data: Dataset, cfg: DetectConfig):
     """Score every configured representative once.  Returns the
     representatives in canonical order, their raw values by order, and
-    the top-k parents each one extended at orders beyond full_order.
-    Representatives are independent, so threads > 1 scores them
-    concurrently; results are merged in canonical order either way."""
+    the top-k parents each one extended at orders beyond full_order."""
     check_derivative_order(model, cfg.max_order)
     if isinstance(model, Mlp):
         if model.config.input_dim != data.dim:
@@ -308,15 +305,7 @@ def _profile_pass(model, data: Dataset, cfg: DetectConfig, threads: int):
             raise ValueError("normalize the dataset before detecting on a trained model")
     evaluator = _make_evaluator(model, cfg.task, cfg.class_index, cfg.use_logit)
     reps = representative_samples(data, cfg.representatives, cfg.seed)
-
-    def job(rep):
-        return _rep_profile(evaluator, rep, data.dim, cfg)
-
-    if threads > 1 and len(reps) > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(job, reps))
-    else:
-        results = [job(r) for r in reps]
+    results = [_rep_profile(evaluator, rep, data.dim, cfg) for rep in reps]
     profiles = {rep.label: raw for rep, (raw, _) in zip(reps, results)}
     parents = {rep.label: pts for rep, (_, pts) in zip(reps, results)}
     return reps, profiles, parents
@@ -339,10 +328,10 @@ def _ranking(reps, profiles, parents, cfg: DetectConfig) -> InteractionRanking:
     )
 
 
-def detect(model, data: Dataset, cfg: DetectConfig, threads: int = 1) -> InteractionRanking:
+def detect(model, data: Dataset, cfg: DetectConfig) -> InteractionRanking:
     """Rank variable subsets of every order 2..max_order by aggregated
     cross-partial strength at the configured representatives."""
-    return _ranking(*_profile_pass(model, data, cfg, threads), cfg)
+    return _ranking(*_profile_pass(model, data, cfg), cfg)
 
 
 def verify_extension_schedule(ranking: InteractionRanking) -> int:
@@ -381,7 +370,6 @@ def aggregation_sweep(
     data: Dataset,
     cfg: DetectConfig,
     score_fn: Callable[[InteractionRanking], float],
-    threads: int = 1,
 ) -> list[SweepRow]:
     """Score every non-empty representative subset crossed with every
     aggregation: (2^6 - 1) * 5 = 315 rows, sorted by descending score.
@@ -391,7 +379,7 @@ def aggregation_sweep(
     combinations just re-aggregate them.
     """
     base = replace(cfg, representatives=REPRESENTATIVE_LABELS)
-    reps, profiles, parents = _profile_pass(model, data, base, threads)
+    reps, profiles, parents = _profile_pass(model, data, base)
     rows = []
     for mask in range(1, 1 << len(REPRESENTATIVE_LABELS)):
         labels = tuple(

@@ -4,11 +4,14 @@ A grid holds n feature vectors of dimension d.  The first-order
 importance of vector i weights the model gradient by x_i's coordinates;
 higher orders differentiate that inner sum once per additional vector,
 summing over each vector's coordinates.  Every entry of the resulting
-order-l tensor is a single multilinear directional derivative, so one
-lattice evaluation with l tags computes it exactly: tag 0 carries x_i's
-coordinates as the direction (on vector i alone for the local variant,
-replicated across every vector slot otherwise) and each further tag
-carries an all-ones direction over one vector's coordinates.
+order-l tensor is a single multilinear directional derivative, which one
+lattice row with l tags computes: tag 0 carries x_i's coordinates as the
+direction (on vector i alone for the local variant, replicated across
+every vector slot otherwise) and each further tag carries an all-ones
+direction over one vector's coordinates.  Those further tags are
+interchangeable, so entry (i, j, k, ...) is the same mixed partial for
+every ordering of j, k, ...: one row per vector i and multiset of the
+others is evaluated, and every ordering's cell is a copy of it.
 
 Models can be ``Mlp`` instances over the flattened n*d input or
 callables taking the grid as a list of n rows of d scalars, which is how
@@ -20,7 +23,8 @@ holding one index tuple per batch row.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, replace
-from itertools import combinations, permutations, product
+from functools import lru_cache
+from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
@@ -91,6 +95,37 @@ class SalienceTensor:
         return self.values.shape[0]
 
 
+@lru_cache(maxsize=32)
+def _cell_schedule(n: int, order: int, zero_diagonal: bool):
+    """The lattice rows of an order-l tensor over n vectors and the cells
+    each one fills.
+
+    Tags 1..l-1 each carry an all-ones direction over one vector, so a
+    tag is only a label: the cells (i, *rest) for every ordering of rest
+    hold one mixed partial.  One row (i, *sorted(rest)) is evaluated per
+    vector i and multiset rest of the other l-1 indices (distinct, and
+    other than i, under zero_diagonal).  Returns the rows as a tuple of
+    index tuples, every cell they fill as an l-tuple of index arrays
+    (numpy fancy-index form), and each cell's row as an index array.
+    """
+    rows, cells, source = [], [], []
+    for i in range(n):
+        if zero_diagonal:
+            rests = combinations([v for v in range(n) if v != i], order - 1)
+        else:
+            rests = combinations_with_replacement(range(n), order - 1)
+        for rest in rests:
+            for perm in dict.fromkeys(permutations(rest)):
+                cells.append((i,) + perm)
+                source.append(len(rows))
+            rows.append((i,) + rest)
+    cells = np.array(cells, dtype=np.intp).reshape(-1, order).T
+    source = np.array(source, dtype=np.intp)
+    for arr in (cells, source):
+        arr.setflags(write=False)
+    return tuple(rows), tuple(cells), source
+
+
 def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool):
     """Directed salience value for each index tuple, in the given order,
     from one batched lattice pass with one tuple per batch row."""
@@ -142,7 +177,12 @@ def taylor_cam(
 ) -> SalienceTensor:
     """Order-l salience tensor over the grid.  Order 1 is exactly the
     per-vector importance; order 2 weights second cross partials; each
-    further order differentiates along one more vector's coordinates."""
+    further order differentiates along one more vector's coordinates.
+
+    One lattice row is evaluated per vector i and multiset of the other
+    l-1 indices (sorted), and the cells (i, *rest) for every ordering of
+    rest are filled from it, so the directed cells are exactly symmetric
+    in their trailing l-1 indices, bit for bit."""
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     check_derivative_order(model, order)
@@ -151,13 +191,10 @@ def taylor_cam(
         vals = np.array([grad_cam(model, grid, i, opts) for i in range(n)])
         return SalienceTensor(1, vals)
 
-    if opts.zero_diagonal:
-        tuples = [t for t in product(range(n), repeat=order) if len(set(t)) == order]
-    else:
-        tuples = list(product(range(n), repeat=order))
+    tuples, cells, source = _cell_schedule(n, order, opts.zero_diagonal)
+    vals = np.asarray(_evaluate_tuples(model, grid, tuples, order, opts.local_k))
     raw = np.zeros((n,) * order)
-    for tup, val in zip(tuples, _evaluate_tuples(model, grid, tuples, order, opts.local_k)):
-        raw[tup] = val
+    raw[cells] = vals[source]
     if opts.rectify:
         raw = np.maximum(raw, 0.0)
 

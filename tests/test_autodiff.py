@@ -500,6 +500,43 @@ def test_lattice_compose_keeps_the_bytes_of_the_full_recurrence(table, x0):
         _assert_same_bytes(g, before)
 
 
+def _spy_table(table, shapes):
+    """``table`` recording the shape of every array its series is taken on."""
+    def series(k, x):
+        shapes.append(x.shape)
+        return table.series(k, x)
+
+    return ad.ElementaryTable(table.name, series, table.check)
+
+
+@pytest.mark.parametrize("table,x0", TABLE_POINTS, ids=lambda v: getattr(v, "name", v))
+def test_lattice_compose_takes_a_shared_value_slot_series_once(table, x0):
+    """Rows that share g's value slot get the series of the first row
+    alone, with the bytes of the series over the whole batch; one
+    differing row takes the series over every row."""
+    rng = np.random.default_rng(20)
+    for t, width in ((3, 1), (5, 7), (7, 33)):
+        for make in (_dense_lattice, _singleton_lattice):
+            g = make(rng, x0, (6, width), t)
+            g[..., 0] = g[:1, :, 0]
+            differing = g.copy()
+            differing[4, width // 2, 0] += 0.01
+            for case, series_shape in ((g, (1, width)), (differing, (6, width))):
+                shapes = []
+                got = lattice_compose(_spy_table(table, shapes), case, t)
+                assert shapes == [series_shape]
+                _assert_same_bytes(got, _compose_full(table, case, t))
+
+
+def test_lattice_compose_tells_a_negative_zero_value_from_a_positive_one():
+    """gelu(-0.0) is -0.0: rows whose values differ only in a zero's sign
+    do not share one series."""
+    g = _singleton_lattice(np.random.default_rng(21), 0.0, (3, 2), 4)
+    g[..., 0] = 0.0
+    g[2, 1, 0] = -0.0
+    _assert_same_bytes(lattice_compose(ad.GELU, g, 4), _compose_full(ad.GELU, g, 4))
+
+
 @pytest.mark.parametrize("shape,t", [((512, 64), 4), ((32, 100), 7)])
 @pytest.mark.parametrize("make", [_dense_lattice, _singleton_lattice])
 def test_lattice_compose_peak_memory_is_bounded_by_its_result(shape, t, make):

@@ -1,8 +1,13 @@
+from itertools import product
+from math import comb
+
 import numpy as np
 import pytest
 
+from xdiff import autodiff as ad
+from xdiff import salience
 from xdiff.autodiff import CapacityError, CrossDual
-from xdiff.mlp import ActivationError, MlpConfig, forward, init_mlp
+from xdiff.mlp import ActivationError, MlpConfig, forward, forward_lattice, init_mlp
 from xdiff.salience import (
     CamOptions,
     FeatureGrid,
@@ -118,6 +123,82 @@ def test_taylor_order2_is_hessian_cam():
     a = taylor_cam(model, grid, 2)
     b = hessian_cam(model, grid)
     np.testing.assert_array_equal(a.values, b.values)
+
+
+def dense(rows):
+    """tanh of a weighted sum: every mixed partial of every order is nonzero."""
+    acc = 0.3
+    for v, row in enumerate(rows):
+        for p, x in enumerate(row):
+            acc = acc + (0.4 + 0.1 * v - 0.05 * p) * x
+    return ad.tanh(acc)
+
+
+def _cam_models():
+    net = init_mlp(MlpConfig(input_dim=10, hidden=(7, 5), seed=8))
+    grid = FeatureGrid(np.random.default_rng(9).uniform(-1, 1, (5, 2)))
+    return [net, dense], grid
+
+
+def _every_tuple_raw(model, grid, order, opts):
+    """The raw tensor with every directed tuple evaluated as its own row."""
+    tuples = [
+        t for t in product(range(grid.n), repeat=order)
+        if not opts.zero_diagonal or len(set(t)) == order
+    ]
+    raw = np.zeros((grid.n,) * order)
+    for t, v in zip(tuples, salience._evaluate_tuples(model, grid, tuples, order, opts.local_k)):
+        raw[t] = v
+    return raw
+
+
+@pytest.mark.parametrize("order", [3, 4])
+@pytest.mark.parametrize("zero_diagonal", [True, False])
+@pytest.mark.parametrize("local_k", [True, False])
+def test_directed_cells_are_exact_copies_across_orderings(order, zero_diagonal, local_k):
+    """Cell (i, *rest) holds the bytes of (i, *sorted(rest)) for every
+    ordering of rest, and agrees with one row per directed tuple: exactly
+    in the sorted cells, to rounding in the others."""
+    models, grid = _cam_models()
+    opts = CamOptions(
+        local_k=local_k, square=False, symmetrize=False, zero_diagonal=zero_diagonal
+    )
+    for model in models:
+        raw = taylor_cam(model, grid, order, opts).values
+        want = _every_tuple_raw(model, grid, order, opts)
+        scale = np.abs(want).max()
+        assert scale > 0
+        assert np.abs(raw - want).max() <= 1e-14 * scale
+        for cell in product(range(grid.n), repeat=order):
+            canonical = (cell[0],) + tuple(sorted(cell[1:]))
+            assert raw[cell].tobytes() == raw[canonical].tobytes(), cell
+            assert raw[canonical].tobytes() == want[canonical].tobytes(), canonical
+
+
+def test_one_lattice_row_per_vector_and_multiset_of_the_others(monkeypatch):
+    seen = []
+
+    def spy(model, arr, t):
+        seen.append(arr.shape[0])
+        return forward_lattice(model, arr, t)
+
+    monkeypatch.setattr(salience, "forward_lattice", spy)
+    (net, _), grid = _cam_models()
+    n = grid.n
+    for order in (2, 3, 4):
+        for zero_diagonal in (True, False):
+            seen.clear()
+            taylor_cam(net, grid, order, CamOptions(zero_diagonal=zero_diagonal))
+            rest = comb(n - 1, order - 1) if zero_diagonal else comb(n + order - 2, order - 1)
+            assert seen == [n * rest]
+
+
+def test_order_above_grid_size_gives_a_zero_tensor():
+    grid = FeatureGrid(np.array([[0.5, 1.0], [-1.0, 2.0]]))
+    for opts in (CamOptions(), RAW):
+        t = taylor_cam(dense, grid, 3, opts)
+        assert t.values.shape == (2, 2, 2)
+        assert not t.values.any()
 
 
 def test_mlp_and_callable_routes_agree():
