@@ -5,9 +5,18 @@ mixed partial derivatives of trained models; on top of that sit an
 interaction detector for tabular models, a salience-tensor generalization
 of gradient-times-input attribution for grid inputs, a synthetic
 benchmark suite with analytic ground truth, and ranking evaluation.
+
+Importing the package pins numpy's OpenBLAS to one thread (``blas``), so
+trained weights do not depend on the machine's core count.  The
+detector is ``xdiff.detect.detect``; the package does not re-export it,
+so that ``xdiff.detect`` stays the module of that name.
 """
 
-from .autodiff import (
+from . import blas
+
+blas.pin()
+
+from .autodiff import (  # noqa: E402
     CapacityError,
     CrossDual,
     DomainError,
@@ -17,7 +26,7 @@ from .autodiff import (
     cross_partial,
     fd_oracle,
 )
-from .benchmarks import (
+from .benchmarks import (  # noqa: E402
     FUNCTIONS,
     GroundTruth,
     SynthFunction,
@@ -27,19 +36,18 @@ from .benchmarks import (
     pairwise_truth,
     sample_dataset,
 )
-from .detect import (
+from .detect import (  # noqa: E402
     DetectConfig,
     InteractionRanking,
     Representative,
     SweepRow,
     aggregation_sweep,
     binned_mode,
-    detect,
     local_ies,
     representative_samples,
     verify_extension_schedule,
 )
-from .evaluate import (
+from .evaluate import (  # noqa: E402
     AucReport,
     UndefinedAucError,
     auc,
@@ -50,7 +58,7 @@ from .evaluate import (
     relative_higher_order,
     truth_auc_per_order,
 )
-from .mlp import (
+from .mlp import (  # noqa: E402
     ActivationError,
     Dataset,
     Mlp,
@@ -68,7 +76,7 @@ from .mlp import (
     save_model,
     train,
 )
-from .salience import (
+from .salience import (  # noqa: E402
     CamOptions,
     FeatureGrid,
     SalienceTensor,
@@ -114,7 +122,6 @@ __all__ = [
     "binned_mode",
     "cross_partial",
     "default_pipeline",
-    "detect",
     "eval_function",
     "fd_oracle",
     "forward",

@@ -694,7 +694,7 @@ sigmoid, softplus = SIGMOID, SOFTPLUS
 
 def _positive(table: ElementaryTable, x):
     # A plain number is compared directly, not through table.check,
-    # which would dominate sample_dataset's scalar loop.
+    # which costs several times the scalar evaluation itself.
     if isinstance(x, np.ndarray):
         table.check(x)
     elif not isinstance(x, CrossDual) and x <= 0:
@@ -714,6 +714,8 @@ def maximum(x, c: float):
     """max(x, c) with subderivative 0 at the kink."""
     if isinstance(x, CrossDual):
         return max_const_table(float(c))(x)
+    if isinstance(x, np.ndarray):
+        return np.where(x > c, x, c)
     return x if x > c else c
 
 

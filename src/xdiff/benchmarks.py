@@ -329,9 +329,8 @@ def sample_dataset(fid: str, n: int, seed: int) -> Dataset:
             col[bad] = rng.uniform(iv.lo, iv.hi, size=int(bad.sum()))
             bad = ~iv.contains(col)
         cols.append(col)
-    feats = np.column_stack(cols)
-    targets = np.array([f.fn(row) for row in feats], dtype=np.float64)[:, None]
-    return Dataset(feats, targets)
+    targets = np.asarray(f.fn(cols), dtype=np.float64)[:, None]
+    return Dataset(np.column_stack(cols), targets)
 
 
 def truth_document(fid: str) -> dict:

@@ -3,9 +3,11 @@
 The model is a plain affine stack with GELU (or ReLU) hidden activations
 and a linear head, trained by minibatch Adam or SGD with early stopping
 on a validation split.  Everything is seeded and runs in one Python
-thread, so a given (data, config) pair reproduces bit-identical weights
-under a fixed BLAS thread count; the matrix products sum in another
-order at another OpenBLAS thread count, and the weights then differ.
+thread, so a given (data, config) pair reproduces bit-identical weights.
+The matrix products would sum in another order at another OpenBLAS
+thread count, so importing xdiff pins OpenBLAS to one thread (``blas``);
+where it cannot (numpy loaded first with a BLAS whose setter it does not
+find) it warns once, and the weights then depend on the thread count.
 
 ``forward`` is generic over the scalar type: plain arrays evaluate
 normally, and lists of CrossDuals are pushed through the same affine and
@@ -423,6 +425,16 @@ def _loss_and_grad(pred: np.ndarray, y: np.ndarray, classification: bool):
     return float(np.mean(diff * diff)), 2.0 * diff / diff.size
 
 
+def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
+    """Consecutive pieces of ``flat``, reshaped to ``shapes``: views, not copies."""
+    views, offset = [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        views.append(flat[offset : offset + size].reshape(shape))
+        offset += size
+    return views
+
+
 def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, TrainingReport]:
     """Minibatch training with early stopping on a held-out split.
 
@@ -436,6 +448,15 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     layer afterwards and reported losses stay in raw target units, so
     the returned model and report read as if the loop had run on raw
     targets with better conditioning.
+
+    A step allocates nothing the size of the network.  Every weight and
+    bias is a reshaped view into one flat vector, and every gradient a
+    view into a second one, which the backward pass fills through
+    ``out=``; each batch size keeps its own pre-activation and delta
+    buffers; Adam or SGD then updates the flat vector in place through
+    two scratch vectors, in the same operand order as a per-array
+    update, so the bytes are those of one.  The activation's value and
+    slope still come from its derivative table, fresh per step.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized dataset")
@@ -465,20 +486,29 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     x_tr, y_tr = data.features[train_idx], targets[train_idx]
     x_va, y_va = data.features[val_idx], targets[val_idx]
 
-    model = init_mlp(mcfg)
+    init = init_mlp(mcfg)
+    nlayers = len(init.weights)
+    dims = [mcfg.input_dim, *mcfg.hidden, mcfg.output_dim]
+    shapes = [a.shape for a in init.weights + init.biases]
+    flat = np.concatenate([a.ravel() for a in init.weights + init.biases])
+    grad = np.zeros_like(flat)
+    params, grads = _flat_views(flat, shapes), _flat_views(grad, shapes)
+    weights, biases = params[:nlayers], params[nlayers:]
+    grads_w, grads_b = grads[:nlayers], grads[nlayers:]
+    model = Mlp(weights, biases, mcfg)  # views of flat, for the validation pass
     table = activation_table(mcfg)
-    params = model.weights + model.biases
-    adam_m = [np.zeros_like(p) for p in params]
-    adam_v = [np.zeros_like(p) for p in params]
+    adam_m, adam_v = np.zeros_like(flat), np.zeros_like(flat)
+    scratch, scratch2 = np.empty_like(flat), np.empty_like(flat)
     b1, b2, eps = 0.9, 0.999, 1e-8
+    lr = tcfg.learning_rate
     step = 0
-    nlayers = len(model.weights)
+    # per batch size: each layer's pre-activation, each hidden layer's delta
+    buffers: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
 
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_epoch, best_val = 0, math.inf
-    best_weights = [w.copy() for w in model.weights]
-    best_biases = [b.copy() for b in model.biases]
+    best = flat.copy()
     stopped = 0
 
     for epoch in range(1, tcfg.max_epochs + 1):
@@ -486,41 +516,50 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
         epoch_loss = 0.0
         for start in range(0, len(x_tr), tcfg.batch_size):
             idx = order[start : start + tcfg.batch_size]
+            if len(idx) not in buffers:
+                buffers[len(idx)] = (
+                    [np.empty((len(idx), d)) for d in dims[1:]],
+                    [np.empty((len(idx), d)) for d in dims[1:-1]],
+                )
+            zs, deltas = buffers[len(idx)]
             xb, yb = x_tr[idx], y_tr[idx]
             # forward, caching each hidden activation's slope
             acts = [xb]
             slopes = []
-            h = xb
             for i in range(nlayers):
-                h = h @ model.weights[i].T + model.biases[i]
+                h = np.matmul(acts[i], weights[i].T, out=zs[i])
+                h += biases[i]
                 if i < nlayers - 1:
                     h, slope = table.series(1, h)
                     slopes.append(slope)
                 acts.append(h)
             loss, delta = _loss_and_grad(h, yb, classification)
             epoch_loss += loss * len(idx)
-            # backward
-            grads_w = [None] * nlayers
-            grads_b = [None] * nlayers
+            # backward, into the gradient vector's views
             for i in range(nlayers - 1, -1, -1):
-                grads_w[i] = delta.T @ acts[i]
-                grads_b[i] = delta.sum(axis=0)
+                np.matmul(delta.T, acts[i], out=grads_w[i])
+                np.sum(delta, axis=0, out=grads_b[i])
                 if i > 0:
-                    delta = (delta @ model.weights[i]) * slopes[i - 1]
-            grads = grads_w + grads_b
+                    delta = np.matmul(delta, weights[i], out=deltas[i - 1])
+                    delta *= slopes[i - 1]
             step += 1
             if tcfg.optimizer == "adam":
-                for p, g, m, v in zip(params, grads, adam_m, adam_v):
-                    m *= b1
-                    m += (1 - b1) * g
-                    v *= b2
-                    v += (1 - b2) * g * g
-                    mh = m / (1 - b1**step)
-                    vh = v / (1 - b2**step)
-                    p -= tcfg.learning_rate * mh / (np.sqrt(vh) + eps)
+                # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+                # flat -= lr (m / c1) / (sqrt(v / c2) + eps)
+                adam_m *= b1
+                adam_m += np.multiply(1 - b1, grad, out=scratch)
+                adam_v *= b2
+                np.multiply(1 - b2, grad, out=scratch)
+                scratch *= grad
+                adam_v += scratch
+                denom = np.sqrt(np.divide(adam_v, 1 - b2**step, out=scratch2), out=scratch2)
+                denom += eps
+                update = np.divide(adam_m, 1 - b1**step, out=scratch)
+                update *= lr
+                update /= denom
+                flat -= update
             else:
-                for p, g in zip(params, grads):
-                    p -= tcfg.learning_rate * g
+                flat -= np.multiply(lr, grad, out=scratch)
 
         train_loss = epoch_loss / len(x_tr)
         val_loss, _ = _loss_and_grad(forward(model, x_va), y_va, classification)
@@ -531,14 +570,15 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
         log.debug("epoch %d train %.6g val %.6g", epoch, train_loss, val_loss)
         if val_loss < best_val:
             best_epoch, best_val = epoch, val_loss
-            best_weights = [w.copy() for w in model.weights]
-            best_biases = [b.copy() for b in model.biases]
+            best[...] = flat
         if epoch - best_epoch >= tcfg.patience:
             stopped = epoch
             break
     else:
         stopped = tcfg.max_epochs
 
+    kept = [v.copy() for v in _flat_views(best, shapes)]
+    best_weights, best_biases = kept[:nlayers], kept[nlayers:]
     if y_scale != 1.0 or y_shift != 0.0:
         best_weights[-1] = best_weights[-1] * y_scale
         best_biases[-1] = best_biases[-1] * y_scale + y_shift

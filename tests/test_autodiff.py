@@ -685,6 +685,11 @@ def test_maximum_of_plain_numbers_keeps_the_larger_value():
     assert ad.maximum(-3.0, -2.5) == -2.5
 
 
+def test_maximum_of_an_array_is_elementwise():
+    x = np.array([-1.0, 0.0, 0.25, 2.0])
+    np.testing.assert_array_equal(ad.maximum(x, 0.25), [0.25, 0.25, 0.25, 2.0])
+
+
 def test_seed_layout():
     duals = seed([5.0, 6.0, 7.0], (2, 0))
     # tag slots assigned in sorted coordinate order: x0 -> tag 0, x2 -> tag 1

@@ -417,3 +417,14 @@ def test_aggregation_sweep_mechanics():
     # labels are unique across the table
     assert len(labels) == 315
     assert {r.aggregation for r in rows} == set(AGGREGATION_LABELS)
+
+
+def test_package_attribute_detect_is_the_module():
+    """The package does not re-export the function under its module's
+    name, so ``import xdiff.detect as m`` binds the module."""
+    import xdiff
+    import xdiff.detect as m
+
+    assert m is xdiff.detect
+    assert m.__name__ == "xdiff.detect"
+    assert "detect" not in xdiff.__all__

@@ -223,6 +223,16 @@ def test_train_is_deterministic():
     assert r1.val_losses == r2.val_losses
 
 
+@pytest.mark.parametrize("hidden", [(8, 4), ()])
+def test_trained_model_owns_its_arrays(hidden):
+    """Training updates views into one flat vector; the returned model
+    holds copies, so it shares no memory with any other array."""
+    data = normalize(_toy(n=100, seed=3))
+    model, _ = train(data, MlpConfig(input_dim=3, hidden=hidden, seed=3),
+                     TrainConfig(max_epochs=3, patience=3, batch_size=30, seed=3))
+    assert all(a.flags.owndata for a in model.weights + model.biases)
+
+
 def test_returned_model_reproduces_best_val_loss():
     data = normalize(_toy(n=300, seed=9))
     tcfg = TrainConfig(max_epochs=30, patience=30, seed=7)
