@@ -9,15 +9,16 @@ thread count, so importing xdiff pins OpenBLAS to one thread (``blas``);
 where it cannot (numpy loaded first with a BLAS whose setter it does not
 find) it warns once, and the weights then depend on the thread count.
 
-``forward`` is generic over the scalar type: plain arrays evaluate
-normally, and lists of CrossDuals are pushed through the same affine and
-activation stack on the subset lattice, so any mixed partial derivative
-of the trained network is available exactly.  GELU uses the exact erf
-form, never the tanh approximation.  The plain pass, the lattice pass
-and training's backward pass all read the activation from one derivative
-table in ``autodiff`` (for GELU a closed form: Hermite polynomials times
-the normal density), so training takes each layer's value and slope from
-a single call.
+``forward`` evaluates plain arrays.  ``forward_lattice`` pushes a batch
+of subset-lattice coefficients through the same affine and activation
+stack, so any mixed partial derivative of the trained network is
+available exactly; it is the one route from lattice coefficients into a
+model, and it hands a callable model its inputs as batched CrossDuals.
+GELU uses the exact erf form, never the tanh approximation.  The plain
+pass, the lattice pass and training's backward pass all read the
+activation from one derivative table in ``autodiff`` (for GELU a closed
+form: Hermite polynomials times the normal density), so training takes
+each layer's value and slope from a single call.
 
 Datasets are plain feature/target matrices with scale-only
 normalization: each feature column is divided by its population standard
@@ -37,7 +38,6 @@ import re
 import warnings
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -262,6 +262,11 @@ class Mlp:
 
     def __post_init__(self):
         dims = [self.config.input_dim, *self.config.hidden, self.config.output_dim]
+        if not len(self.weights) == len(self.biases) == len(dims) - 1:
+            raise ValueError(
+                f"config has {len(dims) - 1} layers, got {len(self.weights)} weight "
+                f"and {len(self.biases)} bias arrays"
+            )
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             if w.shape != (dims[i + 1], dims[i]) or b.shape != (dims[i + 1],):
                 raise ValueError(f"layer {i} has shape {w.shape}, expected {(dims[i+1], dims[i])}")
@@ -325,35 +330,14 @@ def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
     return h
 
 
-def _forward_duals(model: Mlp, xs: Sequence) -> list[CrossDual]:
-    t = next(d.ntags for d in xs if isinstance(d, CrossDual))
-    xs = [
-        d if isinstance(d, CrossDual) else CrossDual.constant(float(d), t)
-        for d in xs
-    ]
-    if any(d.ntags != t for d in xs):
-        raise ValueError("all inputs must share one tag universe")
-    # (..., inputs, 2^t): the batch axes of every input, broadcast together
-    arr = np.stack(np.broadcast_arrays(*(d.coeffs for d in xs)), axis=-2)
-    out = forward_lattice(model, arr, t)
-    return [CrossDual(t, out[..., j, :]) for j in range(out.shape[-2])]
-
-
 def forward(model: Mlp, x):
-    """Evaluate the network on plain arrays or on CrossDual inputs.
+    """Evaluate the network on a single point (1d array) or a batch (2d).
 
-    Arrays may be a single point (1d) or a batch (2d).  A sequence
-    holding at least one CrossDual returns a list of CrossDual outputs
-    whose empty-set coefficients equal the plain forward pass up to
-    rounding: each activation's value is the plain activation's
-    expression, but the affine maps sum in another order (the tests hold
-    the two to 1e-12 relative).  Plain numbers in the sequence are lifted
-    to constants, and batched CrossDuals give batched outputs.
+    Derivatives come from ``forward_lattice`` instead, whose [..., 0]
+    slot equals this pass up to rounding: each activation's value is
+    the same expression, but the affine maps sum in another order (the
+    tests hold the two to 1e-12 relative).
     """
-    if isinstance(x, (list, tuple)) and any(isinstance(v, CrossDual) for v in x):
-        if len(x) != model.config.input_dim:
-            raise ValueError(f"expected {model.config.input_dim} inputs, got {len(x)}")
-        return _forward_duals(model, x)
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     h = arr[None, :] if single else arr
@@ -399,6 +383,9 @@ class TrainConfig:
     def __post_init__(self):
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie strictly between 0 and 1")
+        for name in ("max_epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         if self.optimizer not in ("adam", "sgd"):

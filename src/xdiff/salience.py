@@ -51,7 +51,7 @@ class FeatureGrid:
         object.__setattr__(self, "x", x)
         if self.layout is not None:
             r, c = self.layout
-            if r * c != n:
+            if r < 1 or c < 1 or r * c != n:
                 raise ValueError(f"layout {r}x{c} does not tile {n} vectors")
 
     @property
@@ -126,11 +126,25 @@ def _cell_schedule(n: int, order: int, zero_diagonal: bool):
     return tuple(rows), tuple(cells), source
 
 
-def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool):
+@lru_cache(maxsize=32)
+def _index_sets(n: int, order: int):
+    """The sets of ``order`` distinct vectors out of n, as sorted index
+    rows in lexicographic order, and the flat tensor index of each set's
+    permutation cells: one row per permutation, in ``itertools.permutations``
+    order, one column per set."""
+    sets = np.array(list(combinations(range(n), order)), dtype=np.intp).reshape(-1, order)
+    perms = np.array(list(permutations(range(order))), dtype=np.intp)
+    cells = np.ravel_multi_index(tuple(sets[:, perms].T), (n,) * order)
+    for arr in (sets, cells):
+        arr.setflags(write=False)
+    return sets, cells
+
+
+def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool) -> np.ndarray:
     """Directed salience value for each index tuple, in the given order,
     from one batched lattice pass with one tuple per batch row."""
     if not tuples:
-        return []
+        return np.zeros(0)
     n, d = grid.x.shape
     if isinstance(model, Mlp):
         if model.config.input_dim != n * d:
@@ -154,7 +168,7 @@ def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool
     for t in range(1, order):
         arr[rows, tups[:, t], :, 1 << t] = 1.0
     out = forward_lattice(model, arr.reshape(len(tups), n * d, k), order)
-    return [float(v) for v in out[:, 0, k - 1]]
+    return out[:, 0, k - 1]
 
 
 def grad_cam(model, grid: FeatureGrid, i: int, opts: CamOptions = CamOptions()) -> float:
@@ -163,10 +177,10 @@ def grad_cam(model, grid: FeatureGrid, i: int, opts: CamOptions = CamOptions()) 
     over every vector slot."""
     if not 0 <= i < grid.n:
         raise IndexError(f"vector index {i} out of range for a {grid.n}-vector grid")
-    val = _evaluate_tuples(model, grid, [(i,)], 1, opts.local_k)[0]
+    val = _evaluate_tuples(model, grid, [(i,)], 1, opts.local_k)
     if opts.rectify:
-        val = max(val, 0.0)
-    return val
+        val = np.maximum(val, 0.0)
+    return float(val[0])
 
 
 def taylor_cam(
@@ -176,27 +190,26 @@ def taylor_cam(
     opts: CamOptions = CamOptions(),
 ) -> SalienceTensor:
     """Order-l salience tensor over the grid.  Order 1 is exactly the
-    per-vector importance; order 2 weights second cross partials; each
+    per-vector importance, ``grad_cam`` of every vector, and is neither
+    squared nor folded; order 2 weights second cross partials; each
     further order differentiates along one more vector's coordinates.
 
-    One lattice row is evaluated per vector i and multiset of the other
-    l-1 indices (sorted), and the cells (i, *rest) for every ordering of
-    rest are filled from it, so the directed cells are exactly symmetric
-    in their trailing l-1 indices, bit for bit."""
+    One lattice pass evaluates one row per vector i and multiset of the
+    other l-1 indices (sorted), and the cells (i, *rest) for every
+    ordering of rest are filled from it, so the directed cells are
+    exactly symmetric in their trailing l-1 indices, bit for bit."""
     if order < 1:
         raise ValueError(f"order must be at least 1, got {order}")
     check_derivative_order(model, order)
     n = grid.n
-    if order == 1:
-        vals = np.array([grad_cam(model, grid, i, opts) for i in range(n)])
-        return SalienceTensor(1, vals)
-
     tuples, cells, source = _cell_schedule(n, order, opts.zero_diagonal)
-    vals = np.asarray(_evaluate_tuples(model, grid, tuples, order, opts.local_k))
+    vals = _evaluate_tuples(model, grid, tuples, order, opts.local_k)
     raw = np.zeros((n,) * order)
     raw[cells] = vals[source]
     if opts.rectify:
         raw = np.maximum(raw, 0.0)
+    if order == 1:
+        return SalienceTensor(1, raw)
 
     if opts.symmetrize:
         values = _combine_mutual(raw, order, opts)
@@ -219,35 +232,30 @@ def _combine_mutual(raw: np.ndarray, order: int, opts: CamOptions) -> np.ndarray
     a full symmetric matrix; beyond that the lexicographically smallest
     tuple carries the combined value and the other permutations go to 0.
     Squaring happens cell-wise before the fold unless sum_before_square
-    asks for the fold first."""
+    asks for the fold first.  The permutation cells are added one at a
+    time, from zero, in ``itertools.permutations`` order."""
+    vals = raw * raw if opts.square and not opts.sum_before_square else raw
     if order == 2:
-        if opts.square and opts.sum_before_square:
-            s = raw + raw.T
-            return s * s
-        if opts.square:
-            sq = raw * raw
-            return sq + sq.T
-        return raw + raw.T
-    n = raw.shape[0]
-    out = np.zeros_like(raw)
-    for comb in combinations(range(n), order):
-        cells = [raw[p] for p in permutations(comb)]
-        if opts.square and opts.sum_before_square:
-            out[comb] = sum(cells) ** 2
-        elif opts.square:
-            out[comb] = sum(c * c for c in cells)
-        else:
-            out[comb] = sum(cells)
-    return out
+        fold = vals + vals.T
+    else:
+        sets, cells = _index_sets(raw.shape[0], order)
+        flat = vals.ravel()
+        acc = np.zeros(len(sets))
+        for f in flat[cells]:
+            acc += f
+        fold = np.zeros_like(raw)
+        fold[tuple(sets.T)] = acc
+    if opts.square and opts.sum_before_square:
+        fold *= fold
+    return fold
 
 
-def symmetrize(tensor: SalienceTensor, sum_before_square: bool = False) -> SalienceTensor:
+def symmetrize(tensor: SalienceTensor) -> SalienceTensor:
     """Fold mutual cells of an unsymmetrized tensor; a second call
     returns the tensor unchanged."""
     if tensor.symmetrized:
         return tensor
-    opts = CamOptions(square=False, sum_before_square=sum_before_square)
-    values = _combine_mutual(tensor.values, tensor.order, opts)
+    values = _combine_mutual(tensor.values, tensor.order, CamOptions(square=False))
     return replace(tensor, values=values, symmetrized=True)
 
 
@@ -260,14 +268,15 @@ def top_interactions(
     (diagonals) are not sets and never appear."""
     if k < 0:
         raise ValueError("k must be non-negative")
-    rows = []
-    for comb in combinations(range(tensor.n), tensor.order):
-        val = max(float(tensor.values[p]) for p in permutations(comb))
-        rows.append((comb, val))
+    sets, cells = _index_sets(tensor.n, tensor.order)
+    flat = tensor.values.ravel()
+    best, *rest = flat[cells]
+    for f in rest:
+        best = np.where(f > best, f, best)  # the first of equal cells, as max() keeps
+    ranked = np.argsort(-best, kind="stable")  # sets are lexicographic already
     if threshold is not None:
-        rows = [r for r in rows if r[1] > threshold]
-    rows.sort(key=lambda r: (-r[1], r[0]))
-    return rows[:k]
+        ranked = ranked[best[ranked] > threshold]
+    return [(tuple(sets[j].tolist()), float(best[j])) for j in ranked[:k]]
 
 
 _BOX_PALETTE = ("#d62728", "#2ca02c", "#9467bd", "#ff7f0e")
@@ -300,7 +309,7 @@ def render_heatmap(
     width = _PAD + n * _CELL + _PAD
     if layout is not None:
         rows, cols = layout
-        if rows * cols != n:
+        if rows < 1 or cols < 1 or rows * cols != n:
             raise ValueError(f"layout {rows}x{cols} does not tile {n} vectors")
         panel_x = width
         width += cols * _CELL + _PAD

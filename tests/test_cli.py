@@ -287,6 +287,54 @@ def test_cam_layout_flag(tmp_path, small_csv):
     assert code == 1
 
 
+def test_cam_rejects_a_layout_below_one(tmp_path, small_csv):
+    model = _train_toy(tmp_path, small_csv)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("".join(f"{v}\n" for v in range(9)))
+    out = tmp_path / "cam"
+    code = main(["cam", "--model", str(model), "--grid", str(grid),
+                 "--layout=-3x-3", "--out-dir", str(out)])
+    assert code == 1
+    run = _read_run(out)
+    assert run["status"] == "error"
+    assert "layout -3x-3" in run["error"]
+    assert not (out / "cam.json").exists()
+
+
+def test_detect_rejects_a_checkpoint_with_missing_layers(tmp_path, small_csv):
+    model = _train_toy(tmp_path, small_csv)  # --hidden 8: two layers
+    doc = json.loads(model.read_text())
+    doc["layers"] = doc["layers"][:1]  # would rank the hidden units
+    model.write_text(json.dumps(doc))
+    out = tmp_path / "det"
+    code = main(["detect", "--model", str(model), "--data", str(small_csv),
+                 "--max-order", "2", "--out-dir", str(out)])
+    assert code == 1
+    run = _read_run(out)
+    assert run["status"] == "error"
+    assert "config has 2 layers, got 1 weight and 1 bias arrays" in run["error"]
+    assert not (out / "detect.json").exists()
+
+
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--epochs", "0"], "max_epochs must be at least 1, got 0"),
+        (["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+    ],
+)
+def test_train_rejects_counts_below_one(tmp_path, small_csv, flags, message):
+    out = tmp_path / "t"
+    code = main(["train", "--data", str(small_csv), "--hidden", "8", *flags,
+                 "--out-dir", str(out)])
+    assert code == 1
+    run = _read_run(out)
+    assert run["status"] == "error"
+    assert message in run["error"]
+    assert "result" not in run
+    assert not (out / "model.json").exists()
+
+
 # --- sweep and suite
 
 def test_analytic_sweep_row_count(tmp_path):
@@ -365,6 +413,21 @@ def test_cam_demo_small(tmp_path):
         assert len(trial["top"]) == 2
         assert trial["hit"] == (trial["top"] == trial["planted"])
     assert _read_run(out)["result"]["hit_rate"] == doc["hit_rate"]
+
+
+@pytest.mark.parametrize("flag", ["--seeds", "--grids", "--test-grids"])
+def test_cam_demo_rejects_counts_below_one_before_training(tmp_path, monkeypatch, flag):
+    def no_training(*args, **kwargs):
+        raise AssertionError("trained before checking the flags")
+
+    monkeypatch.setattr(cli, "train", no_training)
+    out = tmp_path / "demo"
+    code = main(["cam-demo", flag, "0", "--out-dir", str(out)])
+    assert code == 1
+    run = _read_run(out)
+    assert run["status"] == "error"
+    assert run["error"] == f"{flag} must be at least 1, got 0"
+    assert run["artifacts"] == {}
 
 
 def test_cam_demo_writes_svgs_by_default(tmp_path):

@@ -3,10 +3,10 @@ weights and losses, on small configs, against ``golden.json`` beside
 this file.
 
 The cases are the commands of ``test_cli_byte_determinism``, ``detect
---max-order 7``, ``cam`` at orders 2-4, ``sweep --analytic`` and
-``gen-data`` for F1-F10, and ``train`` in four configurations: Adam,
-SGD, ReLU with batch 64, and a 3-class softmax whose last batch is
-short.  They run in this process, within about 10 s.
+--max-order 7``, ``cam`` at orders 1-4 and with each fold option,
+``sweep --analytic`` and ``gen-data`` for F1-F10, and ``train`` in four
+configurations: Adam, SGD, ReLU with batch 64, and a 3-class softmax
+whose last batch is short.  They run in this process, within about 10 s.
 
 The digests hold only where they were recorded.  The matrix products
 sum in an order that depends on the BLAS library, its version, its
@@ -159,6 +159,16 @@ def compute_digests(root: Path) -> dict[str, dict[str, str]]:
     for order in (2, 3, 4):
         run.cli(f"cam-o{order}", "cam", "--model", "grid_model.json", "--grid", "grid9x4.csv",
                 "--order", str(order), "--seed", "0")
+    # order 1 and the fold options beyond the defaults
+    for case, *flags in (
+        ("cam-o1", "--order", "1"),
+        ("cam-o1-rectify", "--order", "1", "--rectify"),
+        ("cam-o3-no-square", "--order", "3", "--no-square"),
+        ("cam-o3-sum-before-square", "--order", "3", "--sum-before-square"),
+        ("cam-o4-diagonal-directed", "--order", "4", "--no-zero-diagonal", "--no-symmetrize"),
+    ):
+        run.cli(case, "cam", "--model", "grid_model.json", "--grid", "grid9x4.csv",
+                *flags, "--seed", "0")
     # train in process: weights, biases and every epoch's losses
     f8 = normalize(bm.sample_dataset("F8", 400, seed=3))
     small = MlpConfig(input_dim=10, hidden=(16, 8), seed=3)

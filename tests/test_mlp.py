@@ -15,6 +15,7 @@ from xdiff.mlp import (
     TrainingError,
     activation_table,
     forward,
+    forward_lattice,
     gelu,
     init_mlp,
     load_csv,
@@ -144,19 +145,26 @@ def test_forward_batch_matches_single():
         np.testing.assert_allclose(batch[i], forward(model, xs[i]), rtol=1e-12)
 
 
+def _lattice_point(x, i):
+    """One batch row of one-tag lattice coefficients: the point x, with
+    the tag's direction along input i."""
+    arr = np.zeros((1, len(x), 2))
+    arr[0, :, 0] = x
+    arr[0, i, 1] = 1.0
+    return arr
+
+
 def test_forward_dual_value_slice_is_plain_forward():
     model = init_mlp(MlpConfig(input_dim=4, hidden=(6, 3), seed=5))
     x = np.array([0.2, -0.4, 1.1, 0.7])
-    duals = [CrossDual.variable(v, 0, 1) if i == 0 else CrossDual.constant(v, 1)
-             for i, v in enumerate(x)]
-    out = forward(model, duals)
+    out = forward_lattice(model, _lattice_point(x, 0), 1)
     plain = forward(model, x)
-    # same math, but the dual path sums per neuron in Python order
-    assert out[0].value == pytest.approx(plain[0], rel=1e-12)
+    # same math, but the lattice pass sums its affine maps in another order
+    assert out[0, 0, 0] == pytest.approx(plain[0], rel=1e-12)
 
 
 def test_forward_gradient_matches_fd():
-    """First-order dual derivative vs central difference, 50 draws."""
+    """First-order lattice derivative vs central difference, 50 draws."""
     rng = np.random.default_rng(11)
     h = 1e-5
     for draw in range(50):
@@ -164,11 +172,7 @@ def test_forward_gradient_matches_fd():
         model = init_mlp(cfg)
         x = rng.uniform(-2, 2, size=4)
         i = int(rng.integers(0, 4))
-        duals = [
-            CrossDual.variable(v, 0, 1) if j == i else CrossDual.constant(v, 1)
-            for j, v in enumerate(x)
-        ]
-        exact = forward(model, duals)[0].partial((0,))
+        exact = forward_lattice(model, _lattice_point(x, i), 1)[0, 0, 1]
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -181,7 +185,7 @@ def test_forward_shape_errors():
     with pytest.raises(ValueError):
         forward(model, np.ones(4))
     with pytest.raises(ValueError):
-        forward(model, [CrossDual.constant(1.0, 1)] * 4)
+        forward_lattice(model, np.zeros((1, 4, 2)), 1)
 
 
 # --- training
@@ -318,6 +322,20 @@ def test_train_config_validation():
         TrainConfig(optimizer="lbfgs")
 
 
+@pytest.mark.parametrize(
+    "kwargs, message",
+    [
+        (dict(max_epochs=0, patience=0), "max_epochs must be at least 1, got 0"),
+        (dict(max_epochs=-2, patience=-5), "max_epochs must be at least 1, got -2"),
+        (dict(batch_size=0), "batch_size must be at least 1, got 0"),
+        (dict(batch_size=-1), "batch_size must be at least 1, got -1"),
+    ],
+)
+def test_train_config_rejects_counts_below_one(kwargs, message):
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**kwargs)
+
+
 def test_mlp_config_validation():
     with pytest.raises(ValueError):
         MlpConfig(input_dim=0)
@@ -362,6 +380,19 @@ def test_checkpoint_rejects_unknown_config_key(tmp_path):
     path.write_text(json.dumps(doc))
     with pytest.raises(TypeError, match="dropout"):
         load_model(path)
+
+
+def test_checkpoint_with_missing_layers_names_both_counts(tmp_path):
+    model = init_mlp(MlpConfig(input_dim=3, hidden=(5, 2), seed=1))
+    path = tmp_path / "model.json"
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc["layers"] = doc["layers"][:2]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match="config has 3 layers, got 2 weight and 2 bias arrays"):
+        load_model(path)
+    with pytest.raises(ValueError, match="got 3 weight and 2 bias arrays"):
+        Mlp(model.weights, model.biases[:2], model.config)
 
 
 def test_csv_roundtrip(tmp_path):

@@ -1,4 +1,5 @@
-from itertools import product
+from dataclasses import replace
+from itertools import combinations, permutations, product
 from math import comb
 
 import numpy as np
@@ -7,7 +8,7 @@ import pytest
 from xdiff import autodiff as ad
 from xdiff import salience
 from xdiff.autodiff import CapacityError, CrossDual
-from xdiff.mlp import ActivationError, MlpConfig, forward, forward_lattice, init_mlp
+from xdiff.mlp import ActivationError, MlpConfig, forward_lattice, init_mlp
 from xdiff.salience import (
     CamOptions,
     FeatureGrid,
@@ -23,6 +24,19 @@ from xdiff.salience import (
 
 RAW = CamOptions(square=False, symmetrize=False)
 SQUARED = CamOptions(square=True, symmetrize=False)
+
+
+def grid_callable(model):
+    """An Mlp as a grid callable: the rows' batched CrossDuals, stacked
+    into lattice coefficients, through ``forward_lattice``."""
+
+    def fn(rows):
+        duals = [v for row in rows for v in row]
+        t = duals[0].ntags
+        arr = np.stack([v.coeffs for v in duals], axis=1)
+        return CrossDual(t, forward_lattice(model, arr, t)[:, 0, :])
+
+    return fn
 
 
 def bilinear(rows):
@@ -96,11 +110,16 @@ def test_additive_model_has_exactly_zero_salience():
 
 
 def test_taylor_order1_equals_grad_cam():
-    model = init_mlp(MlpConfig(input_dim=6, hidden=(8,), seed=0))
-    grid = FeatureGrid(np.random.default_rng(1).uniform(-1, 1, (3, 2)))
-    t = taylor_cam(model, grid, 1, RAW)
-    for i in range(3):
-        assert t.values[i] == grad_cam(model, grid, i, RAW)
+    """Order 1 is one batch of n lattice rows, rectified but neither
+    squared nor folded, and each cell holds grad_cam's bytes."""
+    models, grid = _cam_models()
+    for model, local_k, rectify in product(models, (True, False), (False, True)):
+        opts = CamOptions(local_k=local_k, rectify=rectify)
+        t = taylor_cam(model, grid, 1, opts)
+        want = np.array([grad_cam(model, grid, i, opts) for i in range(grid.n)])
+        assert t.values.tobytes() == want.tobytes()
+        raw = taylor_cam(model, grid, 1, replace(RAW, local_k=local_k)).values
+        assert t.values.tobytes() == (np.maximum(raw, 0.0) if rectify else raw).tobytes()
 
 
 def test_taylor_order3_trilinear_worked_example():
@@ -185,7 +204,7 @@ def test_one_lattice_row_per_vector_and_multiset_of_the_others(monkeypatch):
     monkeypatch.setattr(salience, "forward_lattice", spy)
     (net, _), grid = _cam_models()
     n = grid.n
-    for order in (2, 3, 4):
+    for order in (1, 2, 3, 4):
         for zero_diagonal in (True, False):
             seen.clear()
             taylor_cam(net, grid, order, CamOptions(zero_diagonal=zero_diagonal))
@@ -202,17 +221,12 @@ def test_order_above_grid_size_gives_a_zero_tensor():
 
 
 def test_mlp_and_callable_routes_agree():
-    """The batched lattice pass over an Mlp and the per-tuple seeded
-    pass over the same network as a closure give the same tensor."""
+    """The batched lattice pass over an Mlp and the pass over the same
+    network wrapped as a grid callable give the same tensor."""
     model = init_mlp(MlpConfig(input_dim=6, hidden=(9, 5), seed=6))
-
-    def as_fn(rows):
-        flat = [v for row in rows for v in row]
-        return forward(model, flat)[0]
-
     grid = FeatureGrid(np.random.default_rng(3).uniform(-1, 1, (3, 2)))
     a = hessian_cam(model, grid, SQUARED)
-    b = hessian_cam(as_fn, grid, SQUARED)
+    b = hessian_cam(grid_callable(model), grid, SQUARED)
     np.testing.assert_allclose(a.values, b.values, rtol=1e-9, atol=1e-12)
 
 
@@ -237,6 +251,108 @@ def test_salience_matches_finite_difference_of_importance():
                 dn = grad_cam(model, FeatureGrid(bumped), i, RAW)
                 fd += (up - dn) / (2 * h)
             assert t.values[i, j] == pytest.approx(fd, rel=1e-3, abs=1e-8)
+
+
+def combine_mutual_loops(raw, order, opts):
+    """``_combine_mutual`` as it was written, one Python walk over every
+    index set and its permutation cells, kept as the reference.  It
+    squares a fold with ``s * s``; the walk had ``** 2``, whose pow
+    rounds a few values differently."""
+    if order == 2:
+        if opts.square and opts.sum_before_square:
+            s = raw + raw.T
+            return s * s
+        if opts.square:
+            sq = raw * raw
+            return sq + sq.T
+        return raw + raw.T
+    out = np.zeros_like(raw)
+    for c in combinations(range(raw.shape[0]), order):
+        cells = [raw[p] for p in permutations(c)]
+        if opts.square and opts.sum_before_square:
+            s = sum(cells)
+            out[c] = s * s
+        elif opts.square:
+            out[c] = sum(v * v for v in cells)
+        else:
+            out[c] = sum(cells)
+    return out
+
+
+def top_interactions_loops(tensor, k, threshold=None):
+    """``top_interactions`` as it was written, kept as the reference."""
+    rows = []
+    for c in combinations(range(tensor.n), tensor.order):
+        rows.append((c, max(float(tensor.values[p]) for p in permutations(c))))
+    if threshold is not None:
+        rows = [r for r in rows if r[1] > threshold]
+    rows.sort(key=lambda r: (-r[1], r[0]))
+    return rows[:k]
+
+
+def random_tensors(seed, count):
+    """Orders 1-5 over up to 6 vectors: plain normals, values drawn from
+    a few with ties and both signed zeros, and normals with zeros of
+    either sign scattered in."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        order = int(rng.integers(1, 6))
+        shape = (int(rng.integers(1, 7)),) * order
+        kind = rng.integers(3)
+        if kind == 1:
+            vals = rng.choice([-1.5, -0.0, 0.0, 0.25, 2.0], size=shape)
+        else:
+            vals = rng.normal(size=shape)
+        if kind == 2:
+            zeros = rng.random(shape) < 0.4
+            vals[zeros] = rng.choice([-0.0, 0.0], size=int(zeros.sum()))
+        yield order, vals
+
+
+FOLDS = [
+    CamOptions(square=square, sum_before_square=first)
+    for square in (True, False)
+    for first in (True, False)
+]
+
+
+def test_fold_matches_the_permutation_walk_byte_for_byte():
+    for order, raw in random_tensors(0, 1000):
+        for opts in FOLDS:
+            got = salience._combine_mutual(raw, order, opts)
+            want = combine_mutual_loops(raw, order, opts)
+            assert got.tobytes() == want.tobytes(), (order, raw.shape, opts)
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("zero_diagonal", [True, False])
+def test_taylor_cam_folds_as_the_permutation_walk(order, zero_diagonal):
+    models, grid = _cam_models()
+    for model in models:
+        for rectify in (False, True):
+            base = CamOptions(square=False, symmetrize=False, zero_diagonal=zero_diagonal)
+            raw = taylor_cam(model, grid, order, base).values
+            if rectify:
+                raw = np.maximum(raw, 0.0)
+            for fold in FOLDS:
+                opts = replace(fold, zero_diagonal=zero_diagonal, rectify=rectify)
+                got = taylor_cam(model, grid, order, opts).values
+                want = combine_mutual_loops(raw, order, opts)
+                assert got.tobytes() == want.tobytes(), opts
+
+
+def test_ranking_matches_the_permutation_walk():
+    for order, vals in random_tensors(1, 600):
+        t = SalienceTensor(order, vals)
+        picks = [None, 0.0, -0.0, 0.25, float(vals.flat[len(vals.flat) // 2])]
+        for threshold in picks:
+            for k in (0, 1, 3, 10**6):
+                got = top_interactions(t, k, threshold)
+                want = top_interactions_loops(t, k, threshold)
+                # repr tells -0.0 from 0.0 and numpy scalars from Python ones
+                assert repr(got) == repr(want), (order, vals.shape, threshold, k)
+                assert all(type(i) is int for s, _ in got for i in s)
+                assert all(type(v) is float for _, v in got)
 
 
 def test_symmetrize_is_idempotent():
@@ -273,12 +389,7 @@ def test_top_interactions_zero_tensor_and_threshold():
 
 
 def test_argmax_stable_under_positive_scaling():
-    model = init_mlp(MlpConfig(input_dim=8, hidden=(6,), seed=8))
-
-    def f(rows):
-        flat = [v for row in rows for v in row]
-        return forward(model, flat)[0]
-
+    f = grid_callable(init_mlp(MlpConfig(input_dim=8, hidden=(6,), seed=8)))
     grid = FeatureGrid(np.random.default_rng(7).uniform(-1, 1, (4, 2)))
     base = top_interactions(hessian_cam(f, grid), 6)
     scaled = top_interactions(hessian_cam(lambda r: 3.0 * f(r), grid), 6)
@@ -310,6 +421,15 @@ def test_grid_validation():
         FeatureGrid(np.ones((4, 2)), layout=(3, 2))
     g = FeatureGrid(np.ones((6, 2)), layout=(2, 3))
     assert (g.n, g.d) == (6, 2)
+
+
+def test_layouts_below_one_are_rejected(tmp_path):
+    # (-3) * (-3) is 9, but no grid has negative rows or columns
+    with pytest.raises(ValueError, match="layout -3x-3"):
+        FeatureGrid(np.ones((9, 2)), layout=(-3, -3))
+    with pytest.raises(ValueError, match="layout -3x-3"):
+        render_heatmap(SalienceTensor(2, np.zeros((9, 9))), tmp_path / "h.svg", layout=(-3, -3))
+    assert not (tmp_path / "h.svg").exists()
 
 
 def test_model_grid_size_mismatch():
