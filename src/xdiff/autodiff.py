@@ -250,17 +250,36 @@ class ElementaryTable:
     order-0 entry, a float for a scalar and an array for an array.  Only
     the chain rule checks the domain: ``check`` costs about 8 us on a
     plain float, several times the evaluation itself.
+
+    A table built with ``into`` (the network activations) also has an
+    ``out=`` form: ``into(x, value, slope)`` writes f(x) into ``value``
+    and, unless ``slope`` is None, f'(x) into ``slope``, with the bytes of
+    ``series(1, x)``; its series takes those two entries from it.
     """
 
-    __slots__ = ("name", "_series", "_check")
+    __slots__ = ("name", "_series", "_check", "_into")
 
-    def __init__(self, name: str, series: Callable, check: Callable | None = None):
+    def __init__(
+        self,
+        name: str,
+        series: Callable,
+        check: Callable | None = None,
+        into: Callable | None = None,
+    ):
         self.name = name
         self._series = series
         self._check = check
+        self._into = into
 
     def series(self, k: int, x) -> list:
         return self._series(k, np.asarray(x, dtype=np.float64))
+
+    def into(self, x: np.ndarray, value: np.ndarray, slope: np.ndarray | None = None) -> None:
+        """f(x) into ``value`` and, unless it is None, f'(x) into ``slope``:
+        float64 arrays shaped like ``x``, neither of them ``x`` itself."""
+        if self._into is None:
+            raise TypeError(f"{self.name} has no out= form")
+        self._into(x, value, slope)
 
     def __call__(self, x):
         if isinstance(x, CrossDual):
@@ -433,12 +452,42 @@ def _erf_series(k, x):
     return vals
 
 
+def _first_two(into: Callable, k: int, x: np.ndarray) -> list:
+    """[f(x)], or [f(x), f'(x)] for k >= 1, from an ``into`` form."""
+    value = np.empty_like(x)
+    slope = np.empty_like(x) if k >= 1 else None
+    into(x, value, slope)
+    return [value] if slope is None else [value, slope]
+
+
+def _gelu_into(x, value, slope=None):
+    """GELU's value 0.5 x e and slope 0.5 e + x phi(x), e = 1 + erf(x / sqrt 2).
+
+    The value is formed as x * (0.5 * e), which has the bytes of
+    (0.5 * x) * e: e is 0 or at least 2^-53 (erf rounds to multiples of
+    2^-53 near -1), so halving it is exact, and where halving x rounds
+    (|x| below 2^-1021) e is exactly 1.
+    """
+    np.divide(x, _SQRT2, out=value)
+    special.erf(value, out=value)
+    value += 1.0
+    if slope is not None:
+        np.multiply(-0.5, x, out=slope)
+        slope *= x
+        np.exp(slope, out=slope)
+        slope *= _INV_SQRT_2PI
+        slope *= x
+    value *= 0.5
+    if slope is not None:
+        slope += value
+    value *= x
+
+
 def _gelu_series(k, x):
-    e = 1.0 + special.erf(x / _SQRT2)
-    vals = [0.5 * x * e]  # also the plain activation, so lattice and plain values agree bit for bit
-    if k >= 1:
+    # The plain activation is entry 0, so lattice and plain values agree bit for bit.
+    vals = _first_two(_gelu_into, k, x)
+    if k >= 2:
         phi = _INV_SQRT_2PI * np.exp(-0.5 * x * x)
-        vals.append(0.5 * e + x * phi)
         for m in range(2, k + 1):
             vals.append(npoly.polyval(x, _GELU_POLY[m]) * phi)
     return vals
@@ -488,7 +537,7 @@ ARCSIN = ElementaryTable("arcsin", _arcsin_series, _check_unit_interval("arcsin"
 ARCCOS = ElementaryTable("arccos", _arccos_series, _check_unit_interval("arccos"))
 ARCTAN = ElementaryTable("arctan", _arctan_series)
 ERF = ElementaryTable("erf", _erf_series)
-GELU = ElementaryTable("gelu", _gelu_series)
+GELU = ElementaryTable("gelu", _gelu_series, into=_gelu_into)
 ABS = ElementaryTable("abs", _abs_series)
 SIGMOID = ElementaryTable("sigmoid", _sigmoid_series)
 SOFTPLUS = ElementaryTable("softplus", _softplus_series)
@@ -519,15 +568,18 @@ def max_const_table(c: float) -> ElementaryTable:
     """Derivative table for max(x, c) with subderivative 0 at the kink."""
     c = float(c)
 
+    def into(x, value, slope=None):
+        np.maximum(x, c, out=value)
+        if slope is not None:
+            np.greater(x, c, out=slope)
+
     def series(k, x):
-        vals = [np.maximum(x, c)]
-        if k >= 1:
-            vals.append((x > c).astype(np.float64))
-            zero = np.zeros_like(x)
-            vals.extend([zero] * (k - 1))
+        vals = _first_two(into, k, x)
+        if k >= 2:
+            vals.extend([np.zeros_like(x)] * (k - 1))
         return vals
 
-    return ElementaryTable(f"max[{c!r}]", series)
+    return ElementaryTable(f"max[{c!r}]", series, into=into)
 
 
 # ---------------------------------------------------------------------------

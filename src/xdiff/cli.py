@@ -378,8 +378,9 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None,
                         help="base RNG seed (default: XDIFF_SEED env var, else 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted by every subcommand and used by none yet "
-                             "(every subcommand runs serially); never changes output bytes")
+                        help="accepted by every subcommand and used by none yet (train "
+                             "always validates on one worker thread); never changes "
+                             "output bytes")
     common.add_argument("--out-dir", default=".", help="directory for artifacts and run.json")
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))

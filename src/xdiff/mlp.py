@@ -2,12 +2,15 @@
 
 The model is a plain affine stack with GELU (or ReLU) hidden activations
 and a linear head, trained by minibatch Adam or SGD with early stopping
-on a validation split.  Everything is seeded and runs in one Python
-thread, so a given (data, config) pair reproduces bit-identical weights.
-The matrix products would sum in another order at another OpenBLAS
-thread count, so importing xdiff pins OpenBLAS to one thread (``blas``);
-where it cannot (numpy loaded first with a BLAS whose setter it does not
-find) it warns once, and the weights then depend on the thread count.
+on a validation split.  Everything is seeded, so a given (data, config)
+pair reproduces bit-identical weights.  Training computes each epoch's
+validation loss on one worker thread while the next epoch trains; the
+losses and the kept weights are those of the sequential loop, whenever
+the worker finishes.  The matrix products would sum in another order at
+another OpenBLAS thread count, so importing xdiff pins OpenBLAS to one
+thread (``blas``); where it cannot (numpy loaded first with a BLAS whose
+setter it does not find) it warns once, and the weights then depend on
+the thread count.
 
 ``forward`` evaluates plain arrays.  ``forward_lattice`` pushes a batch
 of subset-lattice coefficients through the same affine and activation
@@ -36,6 +39,7 @@ import logging
 import math
 import re
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -190,6 +194,12 @@ def parse_rows(path, rows, width: int | None = None) -> np.ndarray:
     a row with another count or a non-numeric cell names its line."""
     if width is None:
         width = len(rows[0][1]) if rows else 0
+    try:  # numpy parses a str cell as float() does
+        out = np.array([cells for _, cells in rows], dtype=np.float64)
+        if out.shape == (len(rows), width):
+            return out
+    except ValueError:
+        pass
     out = np.empty((len(rows), width))
     for i, (line, cells) in enumerate(rows):
         if len(cells) != width:
@@ -343,12 +353,34 @@ def forward(model: Mlp, x):
     h = arr[None, :] if single else arr
     if h.shape[1] != model.config.input_dim:
         raise ValueError(f"expected {model.config.input_dim} features, got {h.shape[1]}")
+    out = _forward_into(model, h, _forward_buffers(len(h), model.config))
+    return (out[0] if single else out).copy()
+
+
+def _forward_buffers(rows: int, cfg: MlpConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The two flat buffers ``_forward_into`` needs for ``rows`` rows."""
+    size = rows * max((*cfg.hidden, cfg.output_dim))
+    return np.empty(size), np.empty(size)
+
+
+def _forward_into(model: Mlp, h: np.ndarray, buffers) -> np.ndarray:
+    """The plain pass over the rows of ``h``: each layer's pre-activation
+    is written into the first buffer and its activation into the second
+    (see ``_forward_buffers``).  Returns the output layer, a view into the
+    first buffer.  Training's validation pass runs it on a worker thread,
+    so it calls nothing that ``bench/bindings.py`` wraps: the benchmark's
+    tracer keeps one span stack per process."""
+    zbuf, hbuf = buffers
     table = activation_table(model.config)
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = h @ w.T + b
-        h = z if i == last else table(z)
-    return h[0] if single else h
+        shape = (len(h), len(w))
+        z = np.matmul(h, w.T, out=zbuf[: math.prod(shape)].reshape(shape))
+        z += b
+        if i == last:
+            return z
+        h = hbuf[: z.size].reshape(shape)
+        table.into(z, h)
 
 
 def softmax_lattice(arr: np.ndarray, t: int) -> np.ndarray:
@@ -401,15 +433,21 @@ class TrainingReport:
     best_val_loss: float
 
 
-def _loss_and_grad(pred: np.ndarray, y: np.ndarray, classification: bool):
-    """Mean loss and its gradient in ``pred``: softmax cross-entropy by an
-    exact log-softmax for classification, squared error otherwise."""
+def _loss(pred: np.ndarray, y: np.ndarray, classification: bool) -> float:
+    """Mean loss: softmax cross-entropy by an exact log-softmax for
+    classification, squared error otherwise."""
     if classification:
         z = pred - pred.max(axis=1, keepdims=True)
         logp = z - np.log(np.exp(z).sum(axis=1, keepdims=True))
-        return float(-np.sum(y * logp) / len(y)), (_softmax(pred) - y) / len(y)
+        return float(-np.sum(y * logp) / len(y))
     diff = pred - y
-    return float(np.mean(diff * diff)), 2.0 * diff / diff.size
+    return float(np.mean(diff * diff))
+
+
+def _loss_and_grad(pred: np.ndarray, y: np.ndarray, classification: bool):
+    """``_loss`` and its gradient in ``pred``."""
+    grad = (_softmax(pred) - y) / len(y) if classification else 2.0 * (pred - y) / y.size
+    return _loss(pred, y, classification), grad
 
 
 def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
@@ -439,11 +477,24 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     A step allocates nothing the size of the network.  Every weight and
     bias is a reshaped view into one flat vector, and every gradient a
     view into a second one, which the backward pass fills through
-    ``out=``; each batch size keeps its own pre-activation and delta
-    buffers; Adam or SGD then updates the flat vector in place through
-    two scratch vectors, in the same operand order as a per-array
-    update, so the bytes are those of one.  The activation's value and
-    slope still come from its derivative table, fresh per step.
+    ``out=``; each batch size keeps its own pre-activation, activation,
+    slope and delta buffers, which the activation table's ``out=`` form
+    fills; Adam or SGD then updates the flat vector in place through two
+    scratch vectors, in the same operand order as a per-array update, so
+    the bytes are those of one.
+
+    Validation runs one epoch behind, on one worker thread owned by this
+    call.  At the end of epoch e the flat vector is copied into a
+    snapshot, and the worker computes epoch e's validation loss on it
+    while epoch e+1 trains.  The main thread collects that loss at the
+    first step boundary after it is ready (at the latest before epoch
+    e+1 ends): it records the loss, keeps the snapshot if it is the best
+    so far, and stops when patience runs out, dropping the partial epoch
+    e+1.  So the model, the report and the stopped epoch are those of
+    validating each epoch before the next one starts.  A non-finite
+    training loss raises at the end of its epoch, a non-finite
+    validation loss when it is collected; either names its epoch.  The
+    worker is shut down before ``train`` returns or raises.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized dataset")
@@ -482,87 +533,114 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     params, grads = _flat_views(flat, shapes), _flat_views(grad, shapes)
     weights, biases = params[:nlayers], params[nlayers:]
     grads_w, grads_b = grads[:nlayers], grads[nlayers:]
-    model = Mlp(weights, biases, mcfg)  # views of flat, for the validation pass
     table = activation_table(mcfg)
     adam_m, adam_v = np.zeros_like(flat), np.zeros_like(flat)
     scratch, scratch2 = np.empty_like(flat), np.empty_like(flat)
     b1, b2, eps = 0.9, 0.999, 1e-8
     lr = tcfg.learning_rate
-    step = 0
-    # per batch size: each layer's pre-activation, each hidden layer's delta
-    buffers: dict[int, tuple[list[np.ndarray], list[np.ndarray]]] = {}
+    nsteps = 0
+    # per batch size: each layer's pre-activation; each hidden layer's
+    # activation, slope and delta
+    buffers: dict[int, tuple[list[np.ndarray], ...]] = {}
+
+    def step(idx: np.ndarray) -> float:
+        """One optimizer step on the rows ``idx``; returns their summed loss."""
+        nonlocal nsteps
+        nonlocal flat, adam_m, adam_v, scratch  # rebound only by in-place operators
+        if len(idx) not in buffers:
+            buffers[len(idx)] = tuple(
+                [np.empty((len(idx), d)) for d in widths]
+                for widths in (dims[1:], dims[1:-1], dims[1:-1], dims[1:-1])
+            )
+        zs, acts, slopes, deltas = buffers[len(idx)]
+        xb, yb = x_tr[idx], y_tr[idx]
+        inputs = [xb, *acts]
+        for i in range(nlayers):
+            z = np.matmul(inputs[i], weights[i].T, out=zs[i])
+            z += biases[i]
+            if i < nlayers - 1:
+                table.into(z, acts[i], slopes[i])
+        loss, delta = _loss_and_grad(zs[-1], yb, classification)
+        # backward, into the gradient vector's views
+        for i in range(nlayers - 1, -1, -1):
+            np.matmul(delta.T, inputs[i], out=grads_w[i])
+            np.sum(delta, axis=0, out=grads_b[i])
+            if i > 0:
+                delta = np.matmul(delta, weights[i], out=deltas[i - 1])
+                delta *= slopes[i - 1]
+        nsteps += 1
+        if tcfg.optimizer == "adam":
+            # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
+            # flat -= lr (m / c1) / (sqrt(v / c2) + eps)
+            adam_m *= b1
+            adam_m += np.multiply(1 - b1, grad, out=scratch)
+            adam_v *= b2
+            np.multiply(1 - b2, grad, out=scratch)
+            scratch *= grad
+            adam_v += scratch
+            denom = np.sqrt(np.divide(adam_v, 1 - b2**nsteps, out=scratch2), out=scratch2)
+            denom += eps
+            update = np.divide(adam_m, 1 - b1**nsteps, out=scratch)
+            update *= lr
+            update /= denom
+            flat -= update
+        else:
+            flat -= np.multiply(lr, grad, out=scratch)
+        return loss * len(idx)
+
+    # The worker validates the snapshot; it starts as a copy of flat
+    # because Mlp rejects non-finite weights.
+    snapshot = flat.copy()
+    views = _flat_views(snapshot, shapes)
+    val_model = Mlp(views[:nlayers], views[nlayers:], mcfg)
+    val_buffers = _forward_buffers(n_val, mcfg)
+
+    def validate() -> float:
+        return _loss(_forward_into(val_model, x_va, val_buffers), y_va, classification)
 
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_epoch, best_val = 0, math.inf
     best = flat.copy()
-    stopped = 0
+    pending = None  # the future of the last epoch's validation loss
 
-    for epoch in range(1, tcfg.max_epochs + 1):
-        order = rng.permutation(len(x_tr))
-        epoch_loss = 0.0
-        for start in range(0, len(x_tr), tcfg.batch_size):
-            idx = order[start : start + tcfg.batch_size]
-            if len(idx) not in buffers:
-                buffers[len(idx)] = (
-                    [np.empty((len(idx), d)) for d in dims[1:]],
-                    [np.empty((len(idx), d)) for d in dims[1:-1]],
-                )
-            zs, deltas = buffers[len(idx)]
-            xb, yb = x_tr[idx], y_tr[idx]
-            # forward, caching each hidden activation's slope
-            acts = [xb]
-            slopes = []
-            for i in range(nlayers):
-                h = np.matmul(acts[i], weights[i].T, out=zs[i])
-                h += biases[i]
-                if i < nlayers - 1:
-                    h, slope = table.series(1, h)
-                    slopes.append(slope)
-                acts.append(h)
-            loss, delta = _loss_and_grad(h, yb, classification)
-            epoch_loss += loss * len(idx)
-            # backward, into the gradient vector's views
-            for i in range(nlayers - 1, -1, -1):
-                np.matmul(delta.T, acts[i], out=grads_w[i])
-                np.sum(delta, axis=0, out=grads_b[i])
-                if i > 0:
-                    delta = np.matmul(delta, weights[i], out=deltas[i - 1])
-                    delta *= slopes[i - 1]
-            step += 1
-            if tcfg.optimizer == "adam":
-                # m = b1 m + (1 - b1) g,  v = b2 v + (1 - b2) g g,
-                # flat -= lr (m / c1) / (sqrt(v / c2) + eps)
-                adam_m *= b1
-                adam_m += np.multiply(1 - b1, grad, out=scratch)
-                adam_v *= b2
-                np.multiply(1 - b2, grad, out=scratch)
-                scratch *= grad
-                adam_v += scratch
-                denom = np.sqrt(np.divide(adam_v, 1 - b2**step, out=scratch2), out=scratch2)
-                denom += eps
-                update = np.divide(adam_m, 1 - b1**step, out=scratch)
-                update *= lr
-                update /= denom
-                flat -= update
-            else:
-                flat -= np.multiply(lr, grad, out=scratch)
-
-        train_loss = epoch_loss / len(x_tr)
-        val_loss, _ = _loss_and_grad(forward(model, x_va), y_va, classification)
-        if not (math.isfinite(train_loss) and math.isfinite(val_loss)):
+    def collect(wait: bool) -> bool:
+        """Settle the pending validation loss if it is ready (or once it
+        is, with ``wait``); True when it ends training."""
+        nonlocal pending, best_epoch, best_val
+        if pending is None or not (wait or pending.done()):
+            return False
+        val_loss, pending = pending.result(), None
+        epoch = len(val_losses) + 1
+        if not math.isfinite(val_loss):
             raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
-        train_losses.append(train_loss)
         val_losses.append(val_loss)
-        log.debug("epoch %d train %.6g val %.6g", epoch, train_loss, val_loss)
+        log.debug("epoch %d train %.6g val %.6g", epoch, train_losses[-1], val_loss)
         if val_loss < best_val:
             best_epoch, best_val = epoch, val_loss
-            best[...] = flat
-        if epoch - best_epoch >= tcfg.patience:
-            stopped = epoch
-            break
-    else:
-        stopped = tcfg.max_epochs
+            best[...] = snapshot
+        return epoch - best_epoch >= tcfg.patience
+
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="xdiff-validate") as worker:
+        for epoch in range(1, tcfg.max_epochs + 1):
+            order = rng.permutation(len(x_tr))
+            epoch_loss, halt = 0.0, False
+            for start in range(0, len(x_tr), tcfg.batch_size):
+                halt = collect(wait=False)
+                if halt:
+                    break  # the last epoch ended training: drop this partial one
+                epoch_loss += step(order[start : start + tcfg.batch_size])
+            if halt or collect(wait=True):
+                break
+            train_loss = epoch_loss / len(x_tr)
+            if not math.isfinite(train_loss):
+                raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
+            train_losses.append(train_loss)
+            snapshot[...] = flat
+            pending = worker.submit(validate)
+        else:
+            collect(wait=True)
+    stopped = len(val_losses)
 
     kept = [v.copy() for v in _flat_views(best, shapes)]
     best_weights, best_biases = kept[:nlayers], kept[nlayers:]

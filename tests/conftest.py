@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -23,6 +24,16 @@ def pytest_report_header(config):
         f"nproc: {cores}, numpy {np.__version__}, BLAS: {blas}, "
         f"{xdiff.blas.core()} kernels on {xdiff.blas.threads()} thread(s)"
     )
+
+
+@pytest.fixture(autouse=True)
+def no_thread_outlives_the_test():
+    """Fail any test that leaves a thread alive which it did not find."""
+    before = set(threading.enumerate())
+    yield
+    left = [t.name for t in threading.enumerate() if t not in before]
+    if left:
+        pytest.fail(f"threads still alive after the test: {left}")
 
 
 @pytest.fixture()

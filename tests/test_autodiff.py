@@ -709,3 +709,45 @@ def test_constant_pow_dual_exponent():
     assert y.partial((0,)) == pytest.approx(math.log(2.0) * 2.0 ** 0.4)
     with pytest.raises(DomainError):
         (-2.0) ** x
+
+
+# --- the activations' out= form
+
+def _activation_points() -> np.ndarray:
+    rng = np.random.default_rng(0)
+    subnormal = rng.integers(1, 2**52, size=200).view(np.float64)
+    return np.concatenate([
+        [0.0, -0.0, 5e-324, -5e-324, 2.5e-323, -1e-310, 2.2250738585072014e-308,
+         -2.2250738585072014e-308, 4.450147717014403e-308, 40.0, -40.0],
+        subnormal, -subnormal, rng.normal(scale=4.0, size=2000), rng.normal(size=500) * 1e-300,
+    ])
+
+
+@pytest.mark.parametrize("name", ["gelu", "relu"])
+def test_activation_out_form_has_the_bytes_of_the_written_out_expressions(name):
+    """``into`` writes the bytes of the expressions training was written
+    with: 0.5 x (1 + erf(x / sqrt 2)) and 0.5 e + x phi(x) for GELU,
+    max(x, 0) and (x > 0) for ReLU; ``series(1, x)`` and the table
+    itself agree, signed zeros and subnormals included."""
+    x = _activation_points()
+    if name == "gelu":
+        table = ad.GELU
+        e = 1.0 + ad.special.erf(x / math.sqrt(2.0))
+        phi = (1.0 / math.sqrt(2.0 * math.pi)) * np.exp(-0.5 * x * x)
+        want = (0.5 * x * e, 0.5 * e + x * phi)
+    else:
+        table = ad.max_const_table(0.0)
+        want = (np.maximum(x, 0.0), (x > 0.0).astype(np.float64))
+    value, slope, alone = (np.full_like(x, np.nan) for _ in range(3))
+    table.into(x, value, slope)
+    table.into(x, alone)
+    series = table.series(1, x)
+    for got in ((value, slope), series[:2], (alone, want[1]), (table(x), want[1])):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    for i, point in enumerate(x[:11].tolist()):  # the scalar path
+        assert np.float64(table(point)).tobytes() == want[0][i].tobytes()
+
+
+def test_tables_without_an_out_form_say_so():
+    with pytest.raises(TypeError, match="exp has no out= form"):
+        ad.EXP.into(np.ones(2), np.empty(2))

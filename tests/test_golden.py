@@ -6,7 +6,9 @@ The cases are the commands of ``test_cli_byte_determinism``, ``detect
 --max-order 7``, ``cam`` at orders 1-4 and with each fold option,
 ``sweep --analytic`` and ``gen-data`` for F1-F10, and ``train`` in four
 configurations: Adam, SGD, ReLU with batch 64, and a 3-class softmax
-whose last batch is short.  They run in this process, within about 10 s.
+whose last batch is short, each run to its epoch limit and each again
+with a patience that stops it (ReLU's on its last epoch).  They run in
+this process, within about 10 s.
 
 The digests hold only where they were recorded.  The matrix products
 sum in an order that depends on the BLAS library, its version, its
@@ -104,6 +106,7 @@ class _Cases:
             "val_losses": np.asarray(report.val_losses),
         }
         self.digests[case] = {k: _digest(v.tobytes()) for k, v in arrays.items()}
+        self.digests[case]["epochs"] = f"best {report.best_epoch}, stopped {report.stopped_epoch}"
 
 
 def _write_inputs(root: Path) -> None:
@@ -180,6 +183,17 @@ def compute_digests(root: Path) -> dict[str, dict[str, str]]:
     run.train("train-softmax-b37", _classification_data(),
               MlpConfig(input_dim=5, hidden=(12,), output_dim=3, seed=3),
               TrainConfig(max_epochs=4, patience=4, batch_size=37, seed=3))
+    # the same four, stopped early by patience 2
+    run.train("train-adam-stop", f8, small,
+              TrainConfig(learning_rate=0.01, max_epochs=12, patience=2, seed=3))
+    run.train("train-sgd-stop", f8, small,
+              TrainConfig(learning_rate=0.3, max_epochs=12, patience=2, optimizer="sgd", seed=3))
+    run.train("train-relu-b64-stop", f8,
+              MlpConfig(input_dim=10, hidden=(16, 8), activation="relu", seed=3),
+              TrainConfig(learning_rate=0.03, max_epochs=12, patience=2, batch_size=64, seed=3))
+    run.train("train-softmax-b37-stop", _classification_data(),
+              MlpConfig(input_dim=5, hidden=(12,), output_dim=3, seed=3),
+              TrainConfig(learning_rate=0.03, max_epochs=30, patience=2, batch_size=37, seed=3))
     return run.digests
 
 

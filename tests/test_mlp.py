@@ -1,11 +1,15 @@
 import json
 import math
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
 import pytest
 from scipy import special
 
+from xdiff import mlp
 from xdiff.autodiff import GELU, CrossDual
 from xdiff.mlp import (
     Dataset,
@@ -21,6 +25,7 @@ from xdiff.mlp import (
     load_csv,
     load_model,
     normalize,
+    parse_rows,
     save_csv,
     save_model,
     train,
@@ -250,17 +255,109 @@ def test_returned_model_reproduces_best_val_loss():
     assert got == pytest.approx(report.best_val_loss, rel=1e-9)
 
 
-def test_training_divergence_raises():
-    data = normalize(_toy(n=120, seed=2))
+def _diverge():
     with np.errstate(all="ignore"), warnings.catch_warnings():
         warnings.simplefilter("ignore")
-        with pytest.raises(TrainingError, match="epoch"):
-            train(
-                data,
-                MlpConfig(input_dim=3, hidden=(8,), seed=0),
-                TrainConfig(learning_rate=1e12, optimizer="sgd", max_epochs=20,
-                            patience=20, seed=0),
-            )
+        train(
+            normalize(_toy(n=120, seed=2)),
+            MlpConfig(input_dim=3, hidden=(8,), seed=0),
+            TrainConfig(learning_rate=1e12, optimizer="sgd", max_epochs=20,
+                        patience=20, seed=0),
+        )
+
+
+def test_training_divergence_raises():
+    with pytest.raises(TrainingError, match=r"non-finite loss\) at epoch 3$"):
+        _diverge()
+
+
+def _noise_run(**tcfg):
+    """Train on targets with nothing to learn, so patience 3 stops early;
+    returns the weight bytes and the report."""
+    data = _toy(n=120, seed=11)
+    data = Dataset(data.features, np.random.default_rng(12).normal(size=(120, 1)))
+    model, report = train(
+        normalize(data),
+        MlpConfig(input_dim=3, hidden=(6,), seed=11),
+        TrainConfig(**{"max_epochs": 60, "patience": 3, "batch_size": 16, "seed": 11, **tcfg}),
+    )
+    return [a.tobytes() for a in model.weights + model.biases], report
+
+
+def test_train_does_not_depend_on_when_validation_finishes(monkeypatch):
+    """Epoch e's validation loss is collected at the first step boundary
+    after it is ready, or at the end of epoch e+1.  A slow validation
+    (collected after the whole next epoch, which an early stop drops),
+    slow steps (validation ready at the next boundary) and threads
+    switched every microsecond give the bytes of the unhindered run."""
+    want = _noise_run()
+    assert want[1].stopped_epoch < 60
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        assert _noise_run() == want
+    finally:
+        sys.setswitchinterval(interval)
+    forward_into, loss_and_grad = mlp._forward_into, mlp._loss_and_grad
+
+    def slow_validation(*args):
+        time.sleep(0.02)
+        return forward_into(*args)
+
+    def slow_step(*args):
+        time.sleep(0.001)
+        return loss_and_grad(*args)
+
+    for name, slowed in (("_forward_into", slow_validation), ("_loss_and_grad", slow_step)):
+        with monkeypatch.context() as m:
+            m.setattr(mlp, name, slowed)
+            assert _noise_run() == want, name
+
+
+def test_non_finite_validation_loss_names_its_epoch(monkeypatch):
+    forward_into, calls = mlp._forward_into, []
+
+    def nan_on_third_call(*args):
+        out = forward_into(*args)
+        calls.append(None)
+        if len(calls) == 3:
+            out[0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(mlp, "_forward_into", nan_on_third_call)
+    with pytest.raises(TrainingError, match=r"non-finite loss\) at epoch 3$"):
+        _noise_run(patience=60)
+
+
+def _interrupt_on_call(n, fn):
+    calls = []
+
+    def interrupted(*args):
+        calls.append(None)
+        if len(calls) == n:
+            raise KeyboardInterrupt
+        return fn(*args)
+
+    return interrupted
+
+
+def test_no_thread_outlives_train(monkeypatch):
+    """The validation worker is gone when train returns, when it raises
+    and when it is interrupted, on the main thread or on the worker."""
+    before = threading.enumerate()
+    _noise_run()
+    assert threading.enumerate() == before
+    with pytest.raises(TrainingError):
+        _diverge()
+    assert threading.enumerate() == before
+    # 96 training rows in batches of 16: call 8 is epoch 2's second step
+    for name in ("_loss_and_grad", "_forward_into"):
+        with monkeypatch.context() as m:
+            m.setattr(mlp, name, _interrupt_on_call(8 if name == "_loss_and_grad" else 2,
+                                                    getattr(mlp, name)))
+            with pytest.raises(KeyboardInterrupt):
+                _noise_run()
+        assert threading.enumerate() == before, name
 
 
 def test_train_rejects_unnormalized():
@@ -430,6 +527,15 @@ def test_csv_with_a_short_row_names_its_line(tmp_path):
     p.write_text("x1,x2,y\n1,2,3\n\n4,5\n")
     with pytest.raises(ValueError, match="line 4 has 2 cells, expected 3"):
         load_csv(p)
+
+
+def test_csv_cells_parse_as_float_does():
+    cells = [" 1.5", "1_0", "nan", "1e400", "4.9e-324", "-0", "+3", ".5", "infinity"]
+    got = parse_rows("p.csv", [(2, cells), (3, cells[::-1])])
+    assert got.tobytes() == np.array([[float(c) for c in cells],
+                                      [float(c) for c in cells[::-1]]]).tobytes()
+    with pytest.raises(ValueError, match="line 3: could not convert string to float: ''"):
+        parse_rows("p.csv", [(2, ["1", "2"]), (3, ["1", ""])])
 
 
 def test_dataset_rejects_nan():
