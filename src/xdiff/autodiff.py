@@ -12,27 +12,25 @@ of f^(j)(g) on a subset S sum, over the blocks B of S holding S's lowest
 tag, g[B] times the coefficients of f^(j+1)(g) on S minus B.  Both rules
 are closed on the lattice precisely because no variable is ever
 differentiated twice.  The recurrence visits only the blocks B that are
-nonzero somewhere in the batch (of two or more elements): a dense g
-costs about 3^t products per element, while a value plus one direction
-per tag (the first hidden layer of a seeded network) costs about
-2^(t+1), the closed form f^(|S|)(g_0) times the product of the
+nonzero somewhere in the batch (an unbatched dual is a batch of one): a
+dense g costs about 3^t products per element, while a value plus one
+direction per tag (the first hidden layer of a seeded network) costs
+about 2^(t+1), the closed form f^(|S|)(g_0) times the product of the
 directions.  The dropped terms are +-0 * x, so the result equals the
 full recurrence's wherever that is finite and nonzero; an exact zero
 may change sign, and 0 * inf = NaN from an infinite derivative becomes
 a finite or infinite value.  The recurrence reads contiguous copies of
-g's live rows and adds each mask's sum up in place, pair by pair in the
-order np.sum adds the rows of a batch, so its bytes are those of
-gathering the pairs and calling np.sum; a single column, which np.sum
-adds pairwise, keeps that gather and np.sum over every pair.
+g's live rows and adds each mask's sum up in place from +0.0, pair by
+pair, in the order np.sum adds the rows of a batch.
 
 The module also hosts the ordinary-derivative tables of the elementary
 functions (ElementaryTable) and two entry points used throughout the
 package: cross_partial, which seeds a point and reads one mixed partial
 off a function evaluation, and fd_oracle, a nested central-difference
 estimate used as an independent check in the tests.  A table is callable
-on plain numbers, arrays and CrossDuals alike, so one formula source
-evaluates both ways: ``exp``, ``sin``, ... are the tables themselves,
-while ``log`` and ``sqrt`` add a domain check on plain numbers.
+on plain numbers, arrays and CrossDuals alike, with the same domain
+check for each, so one formula source evaluates both ways: ``exp``,
+``log``, ``sqrt``, ... are the tables themselves.
 
 The coefficient routines (lattice_mul, lattice_compose) and CrossDual
 accept arrays whose last axis is the 2^t subset axis and whose leading
@@ -168,13 +166,10 @@ def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarr
     subset-first view of g is strided), and each S's sum is added up in
     place in its level row: the first pair's product is written there,
     and each further product goes through one scratch row and is added,
-    pair by pair in _chain_pairs order.  That is the order in which
-    np.sum adds the rows of a batch of two or more columns, and the
-    result carries np.sum's +0.0 start (a -0.0 coefficient becomes +0.0),
-    so the bytes are those of the gather-and-np.sum recurrence.  A single
-    column (one unbatched element) is summed pairwise by np.sum, where
-    dropping a zero would regroup the other terms, so it keeps the gather
-    and np.sum over every pair.
+    pair by pair in _chain_pairs order, from a +0.0 start (a -0.0
+    coefficient becomes +0.0).  That is the order in which np.sum adds
+    the rows of a batch of two or more columns, so there the bytes are
+    those of gathering the pairs and calling np.sum.
 
     When g has two or more rows whose values g[..., 0] all equal the
     first row's bit for bit (one detect representative or one salience
@@ -204,32 +199,27 @@ def _compose_levels(deriv: list, gt: np.ndarray, t: int) -> np.ndarray:
     from the series f^(j)(g_0) shaped like g_0; returns level 0, so the
     row copies are freed before the caller's transposing copy."""
     n = gt.shape[1]
-    if n != 1:
-        live = np.any(gt != 0.0, axis=1)
-        chain = _live_chain_pairs(t, live.tobytes())
-        masks = np.flatnonzero(live[1:]) + 1  # mask 0 is never a block B
-        rows = {b: gt[b].copy() for b in masks.tolist()}
-        tmp = np.empty(n)
+    live = np.any(gt != 0.0, axis=1)
+    chain = _live_chain_pairs(t, live.tobytes())
+    masks = np.flatnonzero(live[1:]) + 1  # mask 0 is never a block B
+    rows = {b: gt[b].copy() for b in masks.tolist()}
+    tmp = np.empty(n)
     below = None
     for j in range(t, -1, -1):
         level = np.empty((1 << (t - j), n), dtype=np.float64)
         level[0].reshape(deriv[j].shape)[...] = deriv[j]
-        if n == 1:
-            for k, (ib, ir) in enumerate(_chain_pairs(t)[j], start=1):
-                np.sum(gt[ib] * below[ir], axis=0, out=level[k])
-        else:
-            for acc, pairs in zip(level[1:], chain[j]):
-                if not pairs:
-                    acc[:] = 0.0
-                    continue
-                (b, r), *more = pairs
-                np.multiply(rows[b], below[r], out=acc)
-                for b, r in more:
-                    np.multiply(rows[b], below[r], out=tmp)
-                    acc += tmp
+        for acc, pairs in zip(level[1:], chain[j]):
+            if not pairs:
+                acc[:] = 0.0
+                continue
+            (b, r), *more = pairs
+            np.multiply(rows[b], below[r], out=acc)
+            for b, r in more:
+                np.multiply(rows[b], below[r], out=tmp)
+                acc += tmp
         below = level
-    # np.sum starts from +0.0, so none of its sums is -0.0.  The sign of a
-    # zero moves no other value, so setting it on level 0 alone suffices.
+    # Each sum starts from +0.0, so none is -0.0.  The sign of a zero
+    # moves no other value, so setting it on level 0 alone suffices.
     below[1:] += 0.0
     return below
 
@@ -244,12 +234,10 @@ class ElementaryTable:
 
     ``series(k, x)`` returns the list [f(x), f'(x), ..., f^(k)(x)], each
     entry shaped like ``x``.  ``check(x)`` raises DomainError (or
-    SingularityError) when x lies outside the function's domain; the
-    chain rule calls it first.  Calling the table applies it: a CrossDual
-    goes through the chain rule (lattice_compose), anything else gets the
-    order-0 entry, a float for a scalar and an array for an array.  Only
-    the chain rule checks the domain: ``check`` costs about 8 us on a
-    plain float, several times the evaluation itself.
+    SingularityError) when x lies outside the function's domain.  Calling
+    the table checks the value and applies it: a CrossDual goes through
+    the chain rule (lattice_compose), anything else gets the order-0
+    entry, a float for a scalar and an array for an array.
 
     A table built with ``into`` (the network activations) also has an
     ``out=`` form: ``into(x, value, slope)`` writes f(x) into ``value``
@@ -284,6 +272,7 @@ class ElementaryTable:
     def __call__(self, x):
         if isinstance(x, CrossDual):
             return CrossDual(x.ntags, lattice_compose(self, x.coeffs, x.ntags))
+        self.check(x)
         v = self.series(0, x)[0]
         return v if isinstance(x, np.ndarray) else float(v)
 
@@ -737,38 +726,16 @@ class CrossDual:
 # source evaluates both ways.  Plain numbers read the table's order-0
 # entry rather than libm: np.exp and math.exp disagree by an ulp on some
 # inputs, and the value slice of a dual evaluation is contracted to
-# match plain evaluation bit for bit.  arcsin and arccos need no plain
-# clamp: their series clip to +-_ASIN_CLAMP.
-exp, sin, cos, tan, sinh, tanh = EXP, SIN, COS, TAN, SINH, TANH
+# match plain evaluation bit for bit.  Every kind gets the table's domain
+# check, so arcsin(1.5) or log(0.0) raises on a float as on a dual.
+exp, log, sqrt, sin, cos, tan, sinh, tanh = EXP, LOG, SQRT, SIN, COS, TAN, SINH, TANH
 arcsin, arccos, arctan, erf = ARCSIN, ARCCOS, ARCTAN, ERF
 sigmoid, softplus = SIGMOID, SOFTPLUS
 
 
-def _positive(table: ElementaryTable, x):
-    # A plain number is compared directly, not through table.check,
-    # which costs several times the scalar evaluation itself.
-    if isinstance(x, np.ndarray):
-        table.check(x)
-    elif not isinstance(x, CrossDual) and x <= 0:
-        raise DomainError(table.name, float(x), "x > 0")
-    return table(x)
-
-
-def log(x):
-    return _positive(LOG, x)
-
-
-def sqrt(x):
-    return _positive(SQRT, x)
-
-
 def maximum(x, c: float):
-    """max(x, c) with subderivative 0 at the kink."""
-    if isinstance(x, CrossDual):
-        return max_const_table(float(c))(x)
-    if isinstance(x, np.ndarray):
-        return np.where(x > c, x, c)
-    return x if x > c else c
+    """max(x, c) with subderivative 0 at the kink; NaN stays NaN."""
+    return max_const_table(float(c))(x)
 
 
 # ---------------------------------------------------------------------------

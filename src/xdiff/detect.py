@@ -225,14 +225,19 @@ def local_ies(
     """Raw signed cross partials of the model output at one sample, for
     every candidate subset of the given order."""
     check_derivative_order(model, order)
+    row = np.asarray(sample, dtype=np.float64)
+    if isinstance(model, Mlp) and row.size != model.config.input_dim:
+        raise ValueError(f"model expects {model.config.input_dim} features, sample has {row.size}")
     cands = []
     for c in candidates:
         c = tuple(sorted(c))
         if len(c) != order or len(set(c)) != order:
             raise ValueError(f"candidate {c} is not a distinct index set of size {order}")
+        if any(not 0 <= i < row.size for i in c):
+            raise ValueError(f"candidate {c} indexes outside the sample's {row.size} features")
         cands.append(c)
     scores = _make_evaluator(model, task, class_index, use_logit)
-    return scores(np.asarray(sample, dtype=np.float64), order, cands)
+    return scores(row, order, cands)
 
 
 def _transform(cfg: DetectConfig, raw: float) -> float:

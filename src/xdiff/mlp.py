@@ -70,8 +70,11 @@ class ActivationError(ValueError):
 
 
 def check_derivative_order(model, order: int) -> None:
-    """Reject mixed partials of ``order`` that the lattice cannot carry, or
-    that a ReLU model (zero second derivative) makes meaningless."""
+    """Reject mixed partials of ``order`` below 1, beyond what the lattice
+    can carry, or that a ReLU model (zero second derivative) makes
+    meaningless."""
+    if order < 1:
+        raise ValueError(f"order must be at least 1, got {order}")
     if order > MAX_TAGS:
         raise CapacityError(f"order {order} exceeds the {MAX_TAGS}-tag limit")
     if isinstance(model, Mlp) and model.config.activation == "relu" and order >= 2:
@@ -413,6 +416,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError(
+                f"learning_rate must be finite and positive, got {self.learning_rate!r}"
+            )
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie strictly between 0 and 1")
         for name in ("max_epochs", "batch_size"):

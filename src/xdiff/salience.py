@@ -191,15 +191,14 @@ def taylor_cam(
 ) -> SalienceTensor:
     """Order-l salience tensor over the grid.  Order 1 is exactly the
     per-vector importance, ``grad_cam`` of every vector, and is neither
-    squared nor folded; order 2 weights second cross partials; each
-    further order differentiates along one more vector's coordinates.
+    squared nor folded, so its tuples rank by signed importance, as
+    Grad-CAM does; order 2 weights second cross partials; each further
+    order differentiates along one more vector's coordinates.
 
     One lattice pass evaluates one row per vector i and multiset of the
     other l-1 indices (sorted), and the cells (i, *rest) for every
     ordering of rest are filled from it, so the directed cells are
     exactly symmetric in their trailing l-1 indices, bit for bit."""
-    if order < 1:
-        raise ValueError(f"order must be at least 1, got {order}")
     check_derivative_order(model, order)
     n = grid.n
     tuples, cells, source = _cell_schedule(n, order, opts.zero_diagonal)
@@ -375,11 +374,16 @@ def render_heatmap(
 
 
 def salience_document(tensor: SalienceTensor, opts: CamOptions, top: int) -> dict:
-    """JSON-ready view: order, ranked tuples, and the options used."""
+    """JSON-ready view: order, ranked tuples, and the options the order
+    applies.  Order 1 is neither squared nor folded and has no diagonal,
+    so it applies only local_k and rectify."""
+    options = asdict(opts)
+    if tensor.order == 1:
+        options = {k: options[k] for k in ("local_k", "rectify")}
     return {
         "order": tensor.order,
         "tuples": [
             {"set": list(s), "salience": v} for s, v in top_interactions(tensor, top)
         ],
-        "options": asdict(opts),
+        "options": options,
     }

@@ -423,7 +423,8 @@ def test_lattice_compose_matches_set_partition_sum_at_eight_tags():
 
 
 def _compose_full(table, g, t):
-    """lattice_compose's recurrence over every pair of _chain_pairs."""
+    """lattice_compose's recurrence over every pair of _chain_pairs, each
+    mask summed row by row from +0.0 (for a batch, np.sum's order)."""
     x0 = g[..., 0]
     deriv = table.series(t, x0)
     gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
@@ -432,7 +433,7 @@ def _compose_full(table, g, t):
         level = np.empty((1 << (t - j), gt.shape[1]))
         level[0] = np.reshape(deriv[j], -1)
         for k, (ib, ir) in enumerate(ad._chain_pairs(t)[j], start=1):
-            level[k] = np.sum(gt[ib] * below[ir], axis=0)
+            level[k] = sum(gt[ib] * below[ir], np.zeros(gt.shape[1]))
         below = level
     return np.ascontiguousarray(np.moveaxis(below.reshape(g.shape[-1:] + x0.shape), 0, -1))
 
@@ -441,7 +442,7 @@ def _compose_full(table, g, t):
 def test_lattice_compose_with_dead_masks_matches_full_recurrence(table, x0):
     rng = np.random.default_rng(15)
     for t in range(1, 8):
-        # a batch (summed row by row) and one unbatched element (summed pairwise)
+        # a batch and one unbatched element, each on its own shape
         for shape in ((3, 2), ()):
             for _ in range(3):
                 g = rng.normal(size=shape + (1 << t,))
@@ -670,6 +671,25 @@ def test_domain_error_message_names_function_and_bound():
     assert "x > 0" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "table, x, error",
+    [
+        (ad.ARCSIN, 1.5, DomainError),
+        (ad.ARCCOS, -3.0, DomainError),
+        (ad.LOG, 0.0, DomainError),
+        (ad.SQRT, -1.0, DomainError),
+        (ad.RECIPROCAL, 0.0, SingularityError),
+        (power_table(-1.0), 0.0, DomainError),
+        (power_table(0.5), -1.0, DomainError),
+    ],
+    ids=lambda v: v.name if isinstance(v, ad.ElementaryTable) else None,
+)
+def test_every_kind_of_argument_gets_the_same_domain_check(table, x, error):
+    for arg in (x, np.array([0.5, x]), CrossDual.variable(x, 0, 2)):
+        with pytest.raises(error):
+            table(arg)
+
+
 def test_maximum_kink_has_zero_slope():
     x = CrossDual.variable(0.0, 0, 1)
     y = ad.maximum(x, 0.0)
@@ -688,6 +708,12 @@ def test_maximum_of_plain_numbers_keeps_the_larger_value():
 def test_maximum_of_an_array_is_elementwise():
     x = np.array([-1.0, 0.0, 0.25, 2.0])
     np.testing.assert_array_equal(ad.maximum(x, 0.25), [0.25, 0.25, 0.25, 2.0])
+
+
+def test_maximum_of_nan_is_nan_for_every_kind():
+    assert math.isnan(ad.maximum(math.nan, 0.5))
+    np.testing.assert_array_equal(ad.maximum(np.array([math.nan, 1.0]), 0.5), [math.nan, 1.0])
+    assert math.isnan(ad.maximum(CrossDual.variable(math.nan, 0, 1), 0.5).value)
 
 
 def test_seed_layout():

@@ -335,6 +335,18 @@ def test_train_rejects_counts_below_one(tmp_path, small_csv, flags, message):
     assert not (out / "model.json").exists()
 
 
+@pytest.mark.parametrize("rate", ["0", "-1", "nan"])
+def test_train_rejects_a_learning_rate_that_is_not_finite_and_positive(tmp_path, small_csv, rate):
+    out = tmp_path / "t"
+    code = main(["train", "--data", str(small_csv), "--hidden", "8", "--learning-rate", rate,
+                 "--out-dir", str(out)])
+    assert code == 1
+    run = _read_run(out)
+    assert run["status"] == "error"
+    assert f"learning_rate must be finite and positive, got {float(rate)!r}" in run["error"]
+    assert not (out / "model.json").exists()
+
+
 # --- sweep and suite
 
 def test_analytic_sweep_row_count(tmp_path):

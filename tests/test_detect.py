@@ -1,3 +1,4 @@
+import re
 import warnings
 from itertools import combinations
 
@@ -149,6 +150,20 @@ def test_bad_candidate_shapes():
         local_ies(model, np.zeros(5), 2, [(1, 1)])
     with pytest.raises(ValueError, match="size"):
         local_ies(model, np.zeros(5), 3, [(0, 1)])
+
+
+def test_local_ies_rejects_a_sample_or_candidate_that_does_not_fit():
+    model = init_mlp(MlpConfig(input_dim=4, hidden=(3,)))
+    with pytest.raises(ValueError, match="model expects 4 features, sample has 5"):
+        local_ies(model, np.zeros(5), 2, [(0, 1)])
+    for cand in ((1, 7), (-1, 2)):
+        msg = re.escape(f"candidate {tuple(sorted(cand))} indexes outside the sample's 4 features")
+        with pytest.raises(ValueError, match=msg):
+            local_ies(model, np.zeros(4), 2, [(0, 1), cand])
+    with pytest.raises(ValueError, match="indexes outside the sample's 3 features"):
+        local_ies(lambda x: x[0] * x[1], np.zeros(3), 2, [(0, 3)])
+    with pytest.raises(ValueError, match="order must be at least 1, got 0"):
+        local_ies(model, np.zeros(4), 0, [()])
 
 
 def test_classification_ie_matches_closed_form():

@@ -1,5 +1,6 @@
 import json
 import math
+import re
 import sys
 import threading
 import time
@@ -431,6 +432,13 @@ def test_train_config_validation():
 def test_train_config_rejects_counts_below_one(kwargs, message):
     with pytest.raises(ValueError, match=message):
         TrainConfig(**kwargs)
+
+
+@pytest.mark.parametrize("rate", [0.0, -1.0, float("nan"), float("inf")])
+def test_train_config_rejects_a_learning_rate_that_is_not_finite_and_positive(rate):
+    message = f"learning_rate must be finite and positive, got {rate!r}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        TrainConfig(learning_rate=rate)
 
 
 def test_mlp_config_validation():

@@ -482,3 +482,8 @@ def test_salience_document_shape():
         "local_k", "square", "symmetrize", "zero_diagonal",
         "sum_before_square", "rectify",
     }
+    # order 1 is neither squared nor folded: it ranks by signed importance
+    # and echoes only the options it applies
+    one = salience_document(SalienceTensor(1, np.array([2.0, -3.0, 1.0])), CamOptions(), top=3)
+    assert [t["set"] for t in one["tuples"]] == [[0], [2], [1]]
+    assert one["options"] == {"local_k": True, "rectify": False}
