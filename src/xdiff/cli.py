@@ -347,7 +347,7 @@ def _demo_trial(seed: int, args, out_dir: Path) -> dict:
 
 
 def _cmd_cam_demo(args, run: Run) -> None:
-    for flag in ("seeds", "grids", "test_grids"):
+    for flag in ("seeds", "grids", "test_grids", "patience"):
         if (value := getattr(args, flag)) < 1:
             raise CliError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
     out_dir = Path(args.out_dir)

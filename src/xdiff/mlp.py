@@ -316,6 +316,11 @@ def activation_table(cfg: MlpConfig) -> ElementaryTable:
     return GELU if cfg.activation == "gelu" else max_const_table(0.0)
 
 
+# Row chunks of an Mlp lattice pass (see forward_lattice).
+CHUNK_BYTES = 1 << 20
+CHUNK_MIN_COLUMNS = 8192
+
+
 def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
     """Push a batch of lattice coefficients through a model.
 
@@ -325,6 +330,25 @@ def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
     callable receives the input columns as a list of batched CrossDuals
     and returns one scalar, giving shape (batch, 1, 2^t); a plain-number
     return means every partial is zero.
+
+    An ``Mlp`` takes its batch in even row chunks, each written into one
+    result array; a small batch is one chunk.  With W the widest layer,
+    a batch of R rows runs in min(ceil(R * W * 2^t * 8 / CHUNK_BYTES),
+    floor(R * W / CHUNK_MIN_COLUMNS)) chunks, and at least one.
+    CHUNK_BYTES (1 MiB) keeps each layer's coefficient array of a chunk
+    within a 2 MiB L2 cache, and bounds the pass's peak memory by the
+    chunk rather than the batch.  CHUNK_MIN_COLUMNS keeps at least 8192
+    columns (rows times layer width) in each chunk, so numpy's ~1 us
+    per call stays small against the work of each elementwise call.
+
+    Chunking leaves every finite result's bytes as they are.  np.matmul
+    runs one product per batch row, and lattice_compose works column by
+    column.  A chunk's live blocks are a subset of the batch's: the
+    blocks it drops add +-0 * x terms, and lattice_compose's final
+    +0.0 clears the sign of a zero, so no byte moves (the GELU and ReLU
+    derivatives are always finite).  A batch whose rows share one value
+    slot shares it within each chunk too, so each chunk still takes the
+    derivative series once.
     """
     if not isinstance(model, Mlp):
         y = model([CrossDual(t, arr[:, j, :]) for j in range(arr.shape[1])])
@@ -334,13 +358,20 @@ def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
         out[..., 0] = y
         return out
     table = activation_table(model.config)
-    h = arr
     last = len(model.weights) - 1
-    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-        z = np.matmul(w, h)
-        z[..., 0] += b
-        h = z if i == last else lattice_compose(table, z, t)
-    return h
+    rows = len(arr)
+    columns = rows * max((*model.config.hidden, model.config.output_dim))
+    chunks = max(1, min(-(-columns * (8 << t) // CHUNK_BYTES), columns // CHUNK_MIN_COLUMNS))
+    out = np.empty((rows, model.config.output_dim, 1 << t))
+    for c in range(chunks):
+        lo, hi = rows * c // chunks, rows * (c + 1) // chunks
+        h = arr[lo:hi]
+        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+            z = np.matmul(w, h)
+            z[..., 0] += b
+            h = z if i == last else lattice_compose(table, z, t)
+        out[lo:hi] = h
+    return out
 
 
 def forward(model: Mlp, x):
@@ -422,7 +453,7 @@ class TrainConfig:
             )
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie strictly between 0 and 1")
-        for name in ("max_epochs", "batch_size"):
+        for name in ("max_epochs", "batch_size", "patience"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.patience > self.max_epochs:

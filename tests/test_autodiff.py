@@ -587,10 +587,33 @@ def test_forward_lattice_matches_full_recurrence(monkeypatch):
     for t in range(1, 5):
         tuples = list(itertools.permutations(range(x.shape[0]), t))
         seeds += [(_salience_seeds(x, tuples, t, local), t) for local in (True, False)]
-    got = [mlp.forward_lattice(net, arr, t) for arr, t in seeds]
+    cases = [(net, arr, t) for arr, t in seeds]
+    # every order-4 tuple of a 9x4 grid through a 36-64-32 net: a batch of
+    # several row chunks; then the same batch with tag 1's block zeroed in
+    # its second half, so that block is live in some chunks, dead in
+    # others, and live but zero in some rows of the chunk that straddles
+    grid = rng.normal(size=(9, 4))
+    wide = mlp.init_mlp(mlp.MlpConfig(input_dim=grid.size, hidden=(64, 32), seed=4))
+    big = _salience_seeds(grid, list(itertools.permutations(range(9), 4)), 4, True)
+    partial = big.copy()
+    partial[len(big) // 2 :, :, 2] = 0.0
+    cases += [(wide, big, 4), (wide, partial, 4)]
+    chunk_rows = []
+
+    def spy(table, g, t):
+        chunk_rows.append(len(g))
+        return lattice_compose(table, g, t)
+
+    monkeypatch.setattr(mlp, "lattice_compose", spy)
+    mlp.forward_lattice(wide, big, 4)
+    assert len(chunk_rows) > 2 and sum(chunk_rows) == 2 * len(big)
+    got = [mlp.forward_lattice(model, arr, t) for model, arr, t in cases]
+    for arr, out in zip((big, partial), got[-2:]):
+        for r in range(len(arr)):
+            _assert_same_bytes(out[r : r + 1], mlp.forward_lattice(wide, arr[r : r + 1], 4))
     monkeypatch.setattr(mlp, "lattice_compose", _compose_full)
-    for (arr, t), out in zip(seeds, got):
-        np.testing.assert_array_equal(out, mlp.forward_lattice(net, arr, t))
+    for (model, arr, t), out in zip(cases, got):
+        np.testing.assert_array_equal(out, mlp.forward_lattice(model, arr, t))
 
 
 # --- a value plus one direction per tag (a first hidden layer's input):

@@ -321,6 +321,7 @@ def test_detect_rejects_a_checkpoint_with_missing_layers(tmp_path, small_csv):
     [
         (["--epochs", "0"], "max_epochs must be at least 1, got 0"),
         (["--batch-size", "0"], "batch_size must be at least 1, got 0"),
+        (["--patience", "0"], "patience must be at least 1, got 0"),
     ],
 )
 def test_train_rejects_counts_below_one(tmp_path, small_csv, flags, message):
@@ -427,7 +428,7 @@ def test_cam_demo_small(tmp_path):
     assert _read_run(out)["result"]["hit_rate"] == doc["hit_rate"]
 
 
-@pytest.mark.parametrize("flag", ["--seeds", "--grids", "--test-grids"])
+@pytest.mark.parametrize("flag", ["--seeds", "--grids", "--test-grids", "--patience"])
 def test_cam_demo_rejects_counts_below_one_before_training(tmp_path, monkeypatch, flag):
     def no_training(*args, **kwargs):
         raise AssertionError("trained before checking the flags")

@@ -427,6 +427,8 @@ def test_train_config_validation():
         (dict(max_epochs=-2, patience=-5), "max_epochs must be at least 1, got -2"),
         (dict(batch_size=0), "batch_size must be at least 1, got 0"),
         (dict(batch_size=-1), "batch_size must be at least 1, got -1"),
+        (dict(max_epochs=20, patience=0), "patience must be at least 1, got 0"),
+        (dict(max_epochs=20, patience=-3), "patience must be at least 1, got -3"),
     ],
 )
 def test_train_config_rejects_counts_below_one(kwargs, message):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 from itertools import combinations, permutations, product
 from math import comb
@@ -210,6 +211,21 @@ def test_one_lattice_row_per_vector_and_multiset_of_the_others(monkeypatch):
             taylor_cam(net, grid, order, CamOptions(zero_diagonal=zero_diagonal))
             rest = comb(n - 1, order - 1) if zero_diagonal else comb(n + order - 2, order - 1)
             assert seen == [n * rest]
+
+
+def test_order4_taylor_cam_peak_memory_is_bounded_by_its_row_chunks():
+    """Order 4 on a 9x4 grid is 504 lattice rows; run whole, the 36-64-32-1
+    net's (504, 64, 16) layers lifted the peak to about 14 MB."""
+    net = init_mlp(MlpConfig(input_dim=36, hidden=(64, 32), seed=0))
+    grid = FeatureGrid(np.random.default_rng(1).normal(size=(9, 4)))
+    taylor_cam(net, grid, 4)  # fill the caches of index sets and live pairs first
+    tracemalloc.start()
+    try:
+        taylor_cam(net, grid, 4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_order_above_grid_size_gives_a_zero_tensor():
