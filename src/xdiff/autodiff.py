@@ -24,13 +24,13 @@ g's live rows and adds each mask's sum up in place from +0.0, pair by
 pair, in the order np.sum adds the rows of a batch.
 
 The module also hosts the ordinary-derivative tables of the elementary
-functions (ElementaryTable) and two entry points used throughout the
-package: cross_partial, which seeds a point and reads one mixed partial
-off a function evaluation, and fd_oracle, a nested central-difference
-estimate used as an independent check in the tests.  A table is callable
-on plain numbers, arrays and CrossDuals alike, with the same domain
-check for each, so one formula source evaluates both ways: ``exp``,
-``log``, ``sqrt``, ... are the tables themselves.
+functions (ElementaryTable) and three entry points: lattice_call, which
+hands a callable its inputs as CrossDuals and returns the coefficients
+of its value; cross_partial, which reads one mixed partial at a point
+off lattice_call; and fd_oracle, a nested central-difference estimate
+for the tests.  A table is callable on plain numbers, arrays and
+CrossDuals alike, with the same domain check for each, so one formula
+source evaluates both ways: ``exp``, ``log``, ... are the tables.
 
 The coefficient routines (lattice_mul, lattice_compose) and CrossDual
 accept arrays whose last axis is the 2^t subset axis and whose leading
@@ -321,12 +321,8 @@ def _poly_ladder(start, step, n: int = MAX_TAGS):
 
 _X = np.asarray([0.0, 1.0])  # the monomial x, ascending coefficients
 
-# tan' = 1 + tan^2, so every derivative is a polynomial in u = tan x.
-_TAN_POLY = _poly_ladder([1, 0, 1], lambda c, m: npoly.polymul(npoly.polyder(c), [1, 0, 1]))
 # tanh' = 1 - tanh^2
 _TANH_POLY = _poly_ladder([1, 0, -1], lambda c, m: npoly.polymul(npoly.polyder(c), [1, 0, -1]))
-# sigmoid' = u(1 - u) in u = sigmoid(x)
-_SIG_POLY = _poly_ladder([0, 1, -1], lambda c, m: npoly.polymul(npoly.polyder(c), [0, 1, -1]))
 # d^m arcsin = Q_m(x) (1-x^2)^(1/2-m):  Q_{m+1} = Q_m'(1-x^2) + (2m-1) x Q_m
 _ASIN_POLY = _poly_ladder(
     [1],
@@ -386,26 +382,9 @@ def _sinh_series(k, x):
     return [s if m % 2 == 0 else c for m in range(k + 1)]
 
 
-def _tan_series(k, x):
-    u = np.tan(x)
-    return [u] + [npoly.polyval(u, _TAN_POLY[m]) for m in range(1, k + 1)]
-
-
 def _tanh_series(k, x):
     u = np.tanh(x)
     return [u] + [npoly.polyval(u, _TANH_POLY[m]) for m in range(1, k + 1)]
-
-
-def _sigmoid_series(k, x):
-    u = special.expit(x)
-    return [u] + [npoly.polyval(u, _SIG_POLY[m]) for m in range(1, k + 1)]
-
-
-def _softplus_series(k, x):
-    vals = [np.logaddexp(0.0, x)]
-    if k >= 1:
-        vals.extend(_sigmoid_series(k - 1, x))
-    return vals
 
 
 def _arcsin_series(k, x):
@@ -519,7 +498,6 @@ EXP = ElementaryTable("exp", _exp_series)
 LOG = ElementaryTable("log", _log_series, _check_positive("log"))
 SIN = ElementaryTable("sin", _sin_series)
 COS = ElementaryTable("cos", _cos_series)
-TAN = ElementaryTable("tan", _tan_series)
 SINH = ElementaryTable("sinh", _sinh_series)
 TANH = ElementaryTable("tanh", _tanh_series)
 ARCSIN = ElementaryTable("arcsin", _arcsin_series, _check_unit_interval("arcsin"))
@@ -528,8 +506,6 @@ ARCTAN = ElementaryTable("arctan", _arctan_series)
 ERF = ElementaryTable("erf", _erf_series)
 GELU = ElementaryTable("gelu", _gelu_series, into=_gelu_into)
 ABS = ElementaryTable("abs", _abs_series)
-SIGMOID = ElementaryTable("sigmoid", _sigmoid_series)
-SOFTPLUS = ElementaryTable("softplus", _softplus_series)
 RECIPROCAL = ElementaryTable("reciprocal", _recip_series, _check_nonzero_singular)
 
 
@@ -728,9 +704,8 @@ class CrossDual:
 # inputs, and the value slice of a dual evaluation is contracted to
 # match plain evaluation bit for bit.  Every kind gets the table's domain
 # check, so arcsin(1.5) or log(0.0) raises on a float as on a dual.
-exp, log, sqrt, sin, cos, tan, sinh, tanh = EXP, LOG, SQRT, SIN, COS, TAN, SINH, TANH
+exp, log, sqrt, sin, cos, sinh, tanh = EXP, LOG, SQRT, SIN, COS, SINH, TANH
 arcsin, arccos, arctan, erf = ARCSIN, ARCCOS, ARCTAN, ERF
-sigmoid, softplus = SIGMOID, SOFTPLUS
 
 
 def maximum(x, c: float):
@@ -739,49 +714,39 @@ def maximum(x, c: float):
 
 
 # ---------------------------------------------------------------------------
-# Seeding and the two derivative entry points
+# The derivative entry points
 # ---------------------------------------------------------------------------
 
 
-def seed(point: Sequence[float], tags: Iterable[int]) -> list[CrossDual]:
-    """Lift a point to CrossDuals, tagging the given coordinate indices.
+def lattice_call(f: Callable, arr: np.ndarray, t: int) -> np.ndarray:
+    """The coefficients, shape (..., 2^t), of a scalar callable's value.
 
-    Tag slots are assigned in sorted coordinate order; untagged entries
-    become constants (value only, all derivative coefficients zero).
+    ``f`` receives the input rows of ``arr``, shape (..., inputs, 2^t)
+    with any leading batch axes (or none), as a list of CrossDuals; a
+    plain-number return means f ignored them, so every partial is zero.
     """
-    tag_list = sorted(set(int(i) for i in tags))
-    if len(tag_list) > MAX_TAGS:
-        raise CapacityError(f"{len(tag_list)} tags requested, the lattice caps at {MAX_TAGS}")
-    n = len(point)
-    if tag_list and (tag_list[0] < 0 or tag_list[-1] >= n):
-        raise ValueError(f"tagged index outside the point's {n} coordinates")
-    slot = {idx: i for i, idx in enumerate(tag_list)}
-    t = len(tag_list)
-    out = []
-    for j, v in enumerate(point):
-        if j in slot:
-            out.append(CrossDual.variable(float(v), slot[j], t))
-        else:
-            out.append(CrossDual.constant(float(v), t))
-    return out
+    y = f([CrossDual(t, arr[..., j, :]) for j in range(arr.shape[-2])])
+    if not isinstance(y, CrossDual):
+        y = CrossDual.constant(y, t)
+    return np.broadcast_to(y.coeffs, arr.shape[:-2] + (1 << t,))
 
 
 def cross_partial(f: Callable, point: Sequence[float], indices: Iterable[int]) -> float:
     """The mixed partial of f at ``point`` over the given coordinate set.
 
-    Each index is differentiated exactly once.  ``f`` receives the full
-    point as a list of CrossDuals (untagged coordinates as constants) and
-    must return a scalar; a plain-number return means f ignored every
-    tagged coordinate, so the mixed partial is zero.
+    Each index is differentiated exactly once.  ``f`` receives the point
+    through ``lattice_call`` as unbatched CrossDuals, the indices taking
+    tag slots in sorted order, and returns a scalar.
     """
-    indices = list(indices)
-    duals = seed(point, indices)
-    y = f(duals)
-    if isinstance(y, CrossDual):
-        return float(y.coeffs[-1])
-    if not indices:
-        return float(y)
-    return 0.0
+    tags = sorted({int(i) for i in indices})
+    if len(tags) > MAX_TAGS:
+        raise CapacityError(f"{len(tags)} tags requested, the lattice caps at {MAX_TAGS}")
+    arr = np.zeros((len(point), 1 << len(tags)))
+    if tags and (tags[0] < 0 or tags[-1] >= len(arr)):
+        raise ValueError(f"tagged index outside the point's {len(arr)} coordinates")
+    arr[:, 0] = point
+    arr[tags, 1 << np.arange(len(tags))] = 1.0
+    return float(lattice_call(f, arr, len(tags))[-1])
 
 
 def fd_oracle(f: Callable, point: Sequence[float], indices: Iterable[int], h: float = 1e-3) -> float:

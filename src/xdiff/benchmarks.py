@@ -51,9 +51,6 @@ class Interval:
         # for every formula even where sampling stays in the interior
         return (self.lo <= x) & (x <= self.hi)
 
-    def __str__(self) -> str:
-        return f"{'(' if self.lo_open else '['}{self.lo}, {self.hi}{')' if self.hi_open else ']'}"
-
 
 _UNIT = Interval(-1.0, 1.0)
 _DEFAULT_DOMAIN = (_UNIT,) * 10

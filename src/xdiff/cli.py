@@ -14,7 +14,6 @@ error, 130 interrupted.  run.json always ends as ok or error.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import logging
 import os
@@ -44,6 +43,7 @@ from .mlp import (
     load_model,
     normalize,
     parse_rows,
+    read_rows,
     save_csv,
     save_model,
     train,
@@ -163,14 +163,18 @@ def _parse_layout(text: str | None) -> tuple[int, int] | None:
         raise CliError(f"--layout expects ROWSxCOLS, got {text!r}") from None
 
 
-def _load_grid(path, layout) -> FeatureGrid:
-    with open(path, encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        rows = [(reader.line_num, r) for r in reader if r]
+def _is_number(cell: str) -> bool:
     try:
-        parse_rows(path, rows[:1])
+        float(cell)
     except ValueError:
-        rows = rows[1:]  # the header line
+        return False
+    return True
+
+
+def _load_grid(path, layout) -> FeatureGrid:
+    rows = read_rows(path)
+    if rows and not any(_is_number(c) for c in rows[0][1]):
+        rows = rows[1:]  # a header: none of its cells is a number
     if not rows:
         raise CliError(f"grid file {path} is empty")
     return FeatureGrid(parse_rows(path, rows), layout)

@@ -16,7 +16,7 @@ the thread count.
 of subset-lattice coefficients through the same affine and activation
 stack, so any mixed partial derivative of the trained network is
 available exactly; it is the one route from lattice coefficients into a
-model, and it hands a callable model its inputs as batched CrossDuals.
+model, and it hands a callable model to ``autodiff.lattice_call``.
 GELU uses the exact erf form, never the tanh approximation.  The plain
 pass, the lattice pass and training's backward pass all read the
 activation from one derivative table in ``autodiff`` (for GELU a closed
@@ -51,8 +51,8 @@ from .autodiff import (
     MAX_TAGS,
     RECIPROCAL,
     CapacityError,
-    CrossDual,
     ElementaryTable,
+    lattice_call,
     lattice_compose,
     lattice_mul,
     max_const_table,
@@ -123,6 +123,9 @@ class Dataset:
     def __post_init__(self):
         self.features = np.asarray(self.features, dtype=np.float64)
         self.targets = np.asarray(self.targets, dtype=np.float64)
+        f, y = self.features.shape, self.targets.shape
+        if len(f) != 2 or len(y) not in (1, 2) or f[0] != y[0]:
+            raise ValueError(f"dataset shapes {f} and {y} are not (n, d) and (n,) or (n, q)")
         if self.targets.ndim == 1:
             self.targets = self.targets[:, None]
         for name, mat in (("features", self.features), ("targets", self.targets)):
@@ -223,14 +226,19 @@ def save_csv(data: Dataset, path) -> None:
     write_csv(path, names, np.hstack([data.features, data.targets]).tolist())
 
 
+def read_rows(path) -> list[tuple[int, list[str]]]:
+    """A CSV file's non-empty rows, as (1-based line number, cells) pairs."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        reader = csv.reader(fh)
+        return [(reader.line_num, r) for r in reader if r]
+
+
 def load_csv(path) -> Dataset:
     """Read a dataset written by save_csv (or any CSV with trailing y* columns)."""
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None:
-            raise ValueError(f"{path}: empty file, no header row")
-        rows = [(reader.line_num, r) for r in reader if r]
+    rows = read_rows(path)
+    if not rows:
+        raise ValueError(f"{path}: empty file, no header row")
+    (_, header), rows = rows[0], rows[1:]
     is_target = [bool(_TARGET_NAME.match(name.strip())) for name in header]
     try:
         split = is_target.index(True)
@@ -305,9 +313,8 @@ def init_mlp(cfg: MlpConfig) -> Mlp:
     return Mlp(weights, biases, cfg)
 
 
-def gelu(x):
-    """Exact-erf GELU: 0.5 * x * (1 + erf(x / sqrt(2)))."""
-    return GELU(x)
+# Exact-erf GELU, 0.5 * x * (1 + erf(x / sqrt(2))), on numbers, arrays and CrossDuals.
+gelu = GELU
 
 
 def activation_table(cfg: MlpConfig) -> ElementaryTable:
@@ -327,9 +334,7 @@ def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
     ``arr`` has shape (batch, inputs, 2^t).  An ``Mlp`` returns shape
     (batch, output_dim, 2^t), whose entry [..., 0] is the plain forward
     pass up to the summation order of the affine maps.  Any other
-    callable receives the input columns as a list of batched CrossDuals
-    and returns one scalar, giving shape (batch, 1, 2^t); a plain-number
-    return means every partial is zero.
+    callable goes through ``lattice_call``, giving (batch, 1, 2^t).
 
     An ``Mlp`` takes its batch in even row chunks, each written into one
     result array; a small batch is one chunk.  With W the widest layer,
@@ -351,12 +356,7 @@ def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
     derivative series once.
     """
     if not isinstance(model, Mlp):
-        y = model([CrossDual(t, arr[:, j, :]) for j in range(arr.shape[1])])
-        if isinstance(y, CrossDual):
-            return np.broadcast_to(y.coeffs, arr.shape[:1] + (1 << t,))[:, None, :]
-        out = np.zeros((arr.shape[0], 1, 1 << t))
-        out[..., 0] = y
-        return out
+        return lattice_call(model, arr, t)[:, None, :]
     table = activation_table(model.config)
     last = len(model.weights) - 1
     rows = len(arr)

@@ -235,6 +235,19 @@ def test_cam_rejects_a_ragged_grid_naming_its_line(tmp_path, small_csv, capsys):
     assert "line 3 has 1 cells, expected 2" in capsys.readouterr().err
 
 
+def test_cam_names_a_bad_cell_in_a_first_row_that_has_numbers(tmp_path, capsys):
+    """A first row with a number in it is data, not a header to drop."""
+    model = tmp_path / "m8.json"
+    save_model(init_mlp(MlpConfig(input_dim=8, hidden=(4,))), model)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.1,abc\n0.2,0.3\n0.4,0.5\n0.6,0.7\n0.8,0.9\n")
+    out = tmp_path / "cam"
+    code = main(["cam", "--model", str(model), "--grid", str(grid), "--out-dir", str(out)])
+    assert code == 1
+    assert "line 1: could not convert string to float: 'abc'" in _read_run(out)["error"]
+    assert not (out / "cam.json").exists()
+
+
 def test_width_mismatch_names_both_widths(tmp_path, small_csv, capsys):
     wide = tmp_path / "wide.json"
     save_model(init_mlp(MlpConfig(input_dim=10, hidden=(4,))), wide,

@@ -548,6 +548,18 @@ def test_csv_cells_parse_as_float_does():
         parse_rows("p.csv", [(2, ["1", "2"]), (3, ["1", ""])])
 
 
+@pytest.mark.parametrize("features, targets", [
+    (np.zeros((10, 3)), np.zeros(8)),
+    (np.zeros(5), np.zeros(5)),
+    (np.zeros((2, 3, 4)), np.zeros(2)),
+    (np.zeros((4, 2)), np.zeros((4, 1, 1))),
+    (np.zeros((4, 2)), np.zeros(())),
+])
+def test_dataset_rejects_shapes_it_cannot_use(features, targets):
+    with pytest.raises(ValueError, match=re.escape(f"{features.shape} and {targets.shape}")):
+        Dataset(features, targets)
+
+
 def test_dataset_rejects_nan():
     with pytest.raises(ValueError):
         Dataset(np.array([[np.nan]]), np.array([[1.0]]))
