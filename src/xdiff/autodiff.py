@@ -130,14 +130,18 @@ def _live_chain_pairs(t: int, live: bytes):
 
 
 def lattice_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
-    """Leibniz product of two coefficient arrays (subset axis last)."""
+    """Leibniz product of two coefficient arrays (subset axis last).
+
+    Each mask's products are added in sequence, in submask order, for
+    every batch shape (np.sum would add them pairwise for one row but in
+    sequence for a batch), so a row's bytes do not depend on its batch."""
     k = 1 << t
     if a.shape[-1] != k or b.shape[-1] != k:
         raise TagMismatchError("coefficient arrays do not match the tag count")
     shape = np.broadcast_shapes(a.shape[:-1], b.shape[:-1]) + (k,)
     out = np.empty(shape, dtype=np.float64)
     for s, (ia, ib) in enumerate(_submask_pairs(t)):
-        out[..., s] = np.sum(a[..., ia] * b[..., ib], axis=-1)
+        out[..., s] = np.cumsum(a[..., ia] * b[..., ib], axis=-1)[..., -1]
     return out
 
 

@@ -91,12 +91,15 @@ class Run:
         write_json(self.out_dir / "run.json", self.doc)
 
     def artifact(self, path: Path):
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()
+        digest = hashlib.sha256()
+        with open(path, "rb") as fh:  # fixed-size reads: a large CSV is never held whole
+            while chunk := fh.read(1 << 20):
+                digest.update(chunk)
         try:
             name = Path(path).relative_to(self.out_dir).as_posix()
         except ValueError:
             name = Path(path).name
-        self.doc["artifacts"][name] = digest
+        self.doc["artifacts"][name] = digest.hexdigest()
 
     def result(self, payload: dict):
         self.doc["result"] = payload
@@ -172,7 +175,7 @@ def _is_number(cell: str) -> bool:
 
 
 def _load_grid(path, layout) -> FeatureGrid:
-    rows = read_rows(path)
+    rows = list(read_rows(path))
     if rows and not any(_is_number(c) for c in rows[0][1]):
         rows = rows[1:]  # a header: none of its cells is a number
     if not rows:

@@ -28,18 +28,24 @@ normalization: each feature column is divided by its population standard
 deviation; means are recorded but not subtracted unless centering is
 requested explicitly.  A normalized ``Dataset`` holds the ``Normalizer``
 that scaled it, and a checkpoint stores it.  Every JSON artifact is
-written by ``write_json``, every CSV by ``write_csv``.
+written by ``write_json``, every CSV by ``write_csv``.  ``load_csv`` and
+``save_csv`` stream their rows in fixed blocks, so only one block's cells
+are ever Python objects: a save's memory is one block beside the
+dataset, a load's one block plus the matrix, held twice while its parsed
+blocks are joined.
 """
 
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import logging
 import math
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -186,10 +192,10 @@ def write_json(path, doc) -> None:
 
 
 def write_csv(path, header, rows) -> None:
-    """Write a header line and one comma-separated line per row: floats
-    as ``repr``, any other cell as ``str``; no quoting."""
+    """Write a header line and one comma-separated line per row, taking
+    ``rows`` lazily: floats as ``repr``, any other cell as ``str``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for row in (header, *rows):
+        for row in itertools.chain((header,), rows):
             cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
             fh.write(",".join(cells) + "\n")
 
@@ -217,36 +223,53 @@ def parse_rows(path, rows, width: int | None = None) -> np.ndarray:
     return out
 
 
+# rows per block of a streamed CSV load or save
+_BLOCK_ROWS = 1024
+
+
 def save_csv(data: Dataset, path) -> None:
     """Write a dataset as CSV: header row, features first, targets in
-    trailing columns named y (or y1..yq)."""
+    trailing columns named y (or y1..yq); one block of rows at a time."""
     q = data.targets.shape[1]
     names = [f"x{i + 1}" for i in range(data.dim)]
     names += ["y"] if q == 1 else [f"y{j + 1}" for j in range(q)]
-    write_csv(path, names, np.hstack([data.features, data.targets]).tolist())
+    blocks = (
+        np.hstack([data.features[i : i + _BLOCK_ROWS], data.targets[i : i + _BLOCK_ROWS]]).tolist()
+        for i in range(0, data.n, _BLOCK_ROWS)
+    )
+    write_csv(path, names, itertools.chain.from_iterable(blocks))
 
 
-def read_rows(path) -> list[tuple[int, list[str]]]:
-    """A CSV file's non-empty rows, as (1-based line number, cells) pairs."""
+def read_rows(path):
+    """Yield a CSV file's non-empty rows as (1-based line number, cells)
+    pairs; the file is open until the generator ends or is closed."""
     with open(path, encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
-        return [(reader.line_num, r) for r in reader if r]
+        for cells in reader:
+            if cells:
+                yield reader.line_num, cells
 
 
 def load_csv(path) -> Dataset:
-    """Read a dataset written by save_csv (or any CSV with trailing y* columns)."""
-    rows = read_rows(path)
-    if not rows:
-        raise ValueError(f"{path}: empty file, no header row")
-    (_, header), rows = rows[0], rows[1:]
-    is_target = [bool(_TARGET_NAME.match(name.strip())) for name in header]
-    try:
-        split = is_target.index(True)
-    except ValueError:
-        raise ValueError(f"{path}: no target columns (named y, y1, ...) found") from None
-    if not all(is_target[split:]):
-        raise ValueError(f"{path}: target columns must be trailing")
-    mat = parse_rows(path, rows, len(header))
+    """Read a dataset written by save_csv (or any CSV with trailing y*
+    columns), parsing one block of rows at a time; the file is closed
+    before it returns or raises."""
+    with closing(read_rows(path)) as rows:
+        first = next(rows, None)
+        if first is None:
+            raise ValueError(f"{path}: empty file, no header row")
+        header = first[1]
+        is_target = [bool(_TARGET_NAME.match(name.strip())) for name in header]
+        try:
+            split = is_target.index(True)
+        except ValueError:
+            raise ValueError(f"{path}: no target columns (named y, y1, ...) found") from None
+        if not all(is_target[split:]):
+            raise ValueError(f"{path}: target columns must be trailing")
+        blocks = [np.empty((0, len(header)))]
+        while block := list(itertools.islice(rows, _BLOCK_ROWS)):
+            blocks.append(parse_rows(path, block, len(header)))
+    mat = np.concatenate(blocks)
     return Dataset(mat[:, :split], mat[:, split:])
 
 

@@ -186,10 +186,8 @@ def test_cross_partial_seeds_unbatched_duals_in_sorted_tag_order():
 @pytest.mark.parametrize("order", [2, 3, 4])
 def test_cross_partial_matches_local_ies(order):
     """One point seeded alone and the same point in detect's batch of
-    every candidate give the same partials on F1..F10: bit for bit at
-    order 2.  From order 3 a lattice_mul sum can have 8 or more terms,
-    which np.sum adds pairwise for one dual but in sequence down a
-    batch's strided product, so the two may differ by a few ulps."""
+    every candidate give the same partials on F1..F10, bit for bit: a
+    lattice_mul sum adds its terms in one order for any batch size."""
     cands = list(itertools.combinations(range(10), order))
     for fid in FUNCTION_IDS:
         f = lambda x: eval_function(fid, x)
@@ -198,10 +196,18 @@ def test_cross_partial_matches_local_ies(order):
         assert list(batch) == cands
         got = np.array([cross_partial(f, point, c) for c in cands])
         want = np.array(list(batch.values()))
-        if order == 2:
-            assert got.tobytes() == want.tobytes(), fid
-        else:
-            _assert_lattice_close(got, want)
+        assert got.tobytes() == want.tobytes(), fid
+
+
+def test_lattice_mul_row_bytes_do_not_depend_on_the_batch():
+    """Masks of 3+ tags sum 8+ terms, which np.sum adds pairwise for one
+    row but in sequence for a batch."""
+    rng = np.random.default_rng(17)
+    for t in (3, 4, 5):
+        a, b = rng.normal(size=(2, 3, 1 << t))
+        batch = lattice_mul(a, b, t)
+        assert lattice_mul(a[0], b[0], t).tobytes() == batch[0].tobytes()
+        assert lattice_mul(a[:1], b[:1], t).tobytes() == batch[:1].tobytes()
 
 
 def test_lattice_call_takes_any_leading_batch_axes():

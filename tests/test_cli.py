@@ -248,6 +248,26 @@ def test_cam_names_a_bad_cell_in_a_first_row_that_has_numbers(tmp_path, capsys):
     assert not (out / "cam.json").exists()
 
 
+def test_cam_grid_header_and_blank_lines_are_skipped(tmp_path):
+    """A grid with an all-text header row and blank lines gives the same
+    cam.json as the bare grid; a bad cell names its line, blanks counted."""
+    model = tmp_path / "m4.json"
+    save_model(init_mlp(MlpConfig(input_dim=4, hidden=(4,))), model)
+    docs = []
+    for name, text in (("bare", "0.4,-0.2\n0.1,0.9\n"), ("headed", "a,b\n\n0.4,-0.2\n\n0.1,0.9\n")):
+        grid = tmp_path / f"{name}.csv"
+        grid.write_text(text)
+        out = tmp_path / name
+        assert main(["cam", "--model", str(model), "--grid", str(grid), "--out-dir", str(out)]) == 0
+        docs.append((out / "cam.json").read_bytes())
+    assert docs[0] == docs[1]
+    grid = tmp_path / "bad.csv"
+    grid.write_text("a,b\n\n0.4,-0.2\n\n0.1,x\n")
+    out = tmp_path / "bad"
+    assert main(["cam", "--model", str(model), "--grid", str(grid), "--out-dir", str(out)]) == 1
+    assert "line 5: could not convert string to float: 'x'" in _read_run(out)["error"]
+
+
 def test_width_mismatch_names_both_widths(tmp_path, small_csv, capsys):
     wide = tmp_path / "wide.json"
     save_model(init_mlp(MlpConfig(input_dim=10, hidden=(4,))), wide,

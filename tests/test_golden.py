@@ -4,10 +4,11 @@ this file.
 
 The cases are the commands of ``test_cli_byte_determinism``, ``detect
 --max-order 7``, ``cam`` at orders 1-4 and with each fold option,
-``sweep --analytic`` and ``gen-data`` for F1-F10, and ``train`` in four
-configurations: Adam, SGD, ReLU with batch 64, and a 3-class softmax
-whose last batch is short, each run to its epoch limit and each again
-with a patience that stops it (ReLU's on its last epoch).  They run in
+``sweep --analytic`` and ``gen-data`` for F1-F10, a 2,500-row F8 CSV
+that spans three blocks of ``load_csv`` with a 1-epoch ``train`` on it,
+and ``train`` in four configurations: Adam, SGD, ReLU with batch 64, and
+a 3-class softmax whose last batch is short, each run to its epoch limit
+and each again with a patience that stops it (ReLU's on its last epoch).  They run in
 this process, within about 10 s.
 
 The digests hold only where they were recorded.  The matrix products
@@ -159,6 +160,12 @@ def compute_digests(root: Path) -> dict[str, dict[str, str]]:
     run.cli("detect-o7", "detect", "--model", "train-F8/model.json",
             "--data", "gen-data-F8/f8_data.csv", "--max-order", "7", "--top-k", "4",
             "--seed", "2")
+    # a CSV three read blocks long, and a 1-epoch train whose weights pin
+    # every value parsed from it
+    run.cli("gen-data-F8-2500", "gen-data", "--function", "F8", "--samples", "2500",
+            "--seed", "4")
+    run.cli("train-F8-2500", "train", "--data", "gen-data-F8-2500/f8_data.csv",
+            "--hidden", "8", "--epochs", "1", "--patience", "1", "--seed", "4")
     for order in (2, 3, 4):
         run.cli(f"cam-o{order}", "cam", "--model", "grid_model.json", "--grid", "grid9x4.csv",
                 "--order", str(order), "--seed", "0")

@@ -4,6 +4,7 @@ import re
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -537,6 +538,84 @@ def test_csv_with_a_short_row_names_its_line(tmp_path):
     p.write_text("x1,x2,y\n1,2,3\n\n4,5\n")
     with pytest.raises(ValueError, match="line 4 has 2 cells, expected 3"):
         load_csv(p)
+
+
+def _csv_lines(n, bad=None, blank_after_header=0):
+    """A 3-column CSV of n data rows as text; ``bad`` maps a 0-based data
+    row to the text written in its place."""
+    rows = [f"{i}.5,{-i},{i * 0.25}" for i in range(n)]
+    for i, text in (bad or {}).items():
+        rows[i] = text
+    return "x1,x2,y\n" + "\n" * blank_after_header + "\n".join(rows) + "\n"
+
+
+@pytest.mark.parametrize("bad, blanks, line, message", [
+    # the first row of the second block: header on line 1, rows from line 2
+    ({mlp._BLOCK_ROWS: "1,abc,3"}, 0, mlp._BLOCK_ROWS + 2, "could not convert string to float: 'abc'"),
+    # a short last row, two blocks on
+    ({2 * mlp._BLOCK_ROWS + 9: "4,5"}, 0, 2 * mlp._BLOCK_ROWS + 11, "has 2 cells, expected 3"),
+    # blank lines count as lines, not as rows
+    ({mlp._BLOCK_ROWS: "1,,3"}, 3, mlp._BLOCK_ROWS + 5, "could not convert string to float: ''"),
+])
+def test_csv_errors_name_their_line_across_blocks(tmp_path, bad, blanks, line, message):
+    p = tmp_path / "blocks.csv"
+    p.write_text(_csv_lines(2 * mlp._BLOCK_ROWS + 10, bad, blanks))
+    with pytest.raises(ValueError, match=re.escape(f"line {line}") + r"\b.*" + re.escape(message)):
+        load_csv(p)
+
+
+def test_csv_header_only_gives_an_empty_dataset(tmp_path):
+    p = tmp_path / "head.csv"
+    p.write_text("x1,x2,y1,y2\n\n")
+    back = load_csv(p)
+    assert back.features.shape == (0, 2) and back.targets.shape == (0, 2)
+
+
+def test_csv_file_is_closed_when_parsing_raises(tmp_path, monkeypatch):
+    opened = []
+
+    def recording_open(*args, **kwargs):
+        opened.append(open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(mlp, "open", recording_open, raising=False)
+    p = tmp_path / "bad.csv"
+    p.write_text(_csv_lines(mlp._BLOCK_ROWS + 5, {mlp._BLOCK_ROWS + 1: "1,2,x"}))
+    with pytest.raises(ValueError, match="could not convert") as info:
+        load_csv(p)
+    assert info.traceback  # the traceback, and the frames it holds, are alive here
+    assert len(opened) == 1 and opened[0].closed
+    p.write_text("")
+    with pytest.raises(ValueError, match="empty file"):
+        load_csv(p)
+    assert len(opened) == 2 and opened[1].closed
+
+
+def _traced_peak(fn, *args):
+    """Bytes fn(*args) allocates at its peak above what was live before."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_csv_memory_is_one_block_beside_the_matrix(tmp_path):
+    """A 50,000-row, 11-column save holds one block of Python floats
+    beside the dataset, and a load one block of strings beside the parsed
+    blocks and the matrix they are joined into."""
+    rng = np.random.default_rng(3)
+    data = Dataset(rng.normal(size=(50_000, 10)), rng.normal(size=50_000))
+    matrix_bytes = data.features.nbytes + data.targets.nbytes
+    path = tmp_path / "big.csv"
+    mib = 1 << 20
+    assert _traced_peak(save_csv, data, path) <= matrix_bytes + 4 * mib
+    assert _traced_peak(load_csv, path) <= 2 * matrix_bytes + 4 * mib
+    back = load_csv(path)
+    assert back.features.tobytes() == data.features.tobytes()
+    assert back.targets.tobytes() == data.targets.tobytes()
 
 
 def test_csv_cells_parse_as_float_does():
