@@ -145,7 +145,9 @@ def lattice_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
     return out
 
 
-def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarray:
+def lattice_compose(
+    table: "ElementaryTable", g: np.ndarray, t: int, *, overwrite_g: bool = False
+) -> np.ndarray:
     """Chain rule: coefficients of table(g) from the coefficients of g.
 
     Level j holds the coefficients of f^(j)(g) over the masks S of tags
@@ -153,6 +155,13 @@ def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarr
     whose lowest tag is i sums g[B] * level_{j+1}[S ^ B] over the submasks
     B of S that hold i.  Level t is f^(t)(g_0) alone and level 0 is the
     result; two levels are alive at a time.
+
+    g is left as it is unless ``overwrite_g`` is set, which only
+    ``mlp.forward_lattice`` does, on a C-contiguous float64 g it drops
+    afterwards.  Then g's buffer is scratch: once g's live rows are
+    copied, level 0 is written into it, so a dense g holds 2.5 g-sized
+    arrays at the peak (the row copies and two levels, one of them in g)
+    and 2 during the transposing copy into the result (g and the result).
 
     Only live blocks enter the sums: a mask B of g is live when g[..., B]
     is nonzero somewhere in the batch.  Where g holds a value and one
@@ -185,7 +194,8 @@ def lattice_compose(table: "ElementaryTable", g: np.ndarray, t: int) -> np.ndarr
     table.check(x0)
     series = table.series(t, x0[:1] if _rows_equal(x0) else x0)
     deriv = [np.broadcast_to(d, x0.shape) for d in series]
-    top = _compose_levels(deriv, np.moveaxis(g, -1, 0).reshape(1 << t, -1), t)
+    gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
+    top = _compose_levels(deriv, gt, t, g.reshape(1 << t, -1) if overwrite_g else None)
     return np.ascontiguousarray(np.moveaxis(top.reshape(g.shape[-1:] + x0.shape), 0, -1))
 
 
@@ -198,10 +208,12 @@ def _rows_equal(x0: np.ndarray) -> bool:
     return bool((x0 == first).all() and (np.signbit(x0) == np.signbit(first)).all())
 
 
-def _compose_levels(deriv: list, gt: np.ndarray, t: int) -> np.ndarray:
+def _compose_levels(deriv: list, gt: np.ndarray, t: int, top=None) -> np.ndarray:
     """lattice_compose's levels t..0 on the subset-first view gt of g,
     from the series f^(j)(g_0) shaped like g_0; returns level 0, so the
-    row copies are freed before the caller's transposing copy."""
+    row copies are freed before the caller's transposing copy.  Level 0
+    is written into ``top`` when given, a (2^t, n) array that may share
+    gt's memory: gt is read only before level 0 is begun."""
     n = gt.shape[1]
     live = np.any(gt != 0.0, axis=1)
     chain = _live_chain_pairs(t, live.tobytes())
@@ -210,7 +222,10 @@ def _compose_levels(deriv: list, gt: np.ndarray, t: int) -> np.ndarray:
     tmp = np.empty(n)
     below = None
     for j in range(t, -1, -1):
-        level = np.empty((1 << (t - j), n), dtype=np.float64)
+        if j > 0 or top is None:
+            level = np.empty((1 << (t - j), n), dtype=np.float64)
+        else:
+            level = top
         level[0].reshape(deriv[j].shape)[...] = deriv[j]
         for acc, pairs in zip(level[1:], chain[j]):
             if not pairs:

@@ -11,7 +11,8 @@ polynomial while anything strong at a lower order keeps its lineage.
 Models can be ``Mlp`` instances or plain callables taking a length-p
 vector, which is how the analytic benchmark functions are plugged in
 directly.  Both are scored the same way: one batched lattice pass per
-order and representative, with one candidate per batch row.
+order and representative, with one candidate per batch row, seeded and
+evaluated one row chunk at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import MAX_TAGS, DomainError
-from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, softmax_lattice
+from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, row_chunks, softmax_lattice
 
 log = logging.getLogger(__name__)
 
@@ -169,12 +170,27 @@ def representative_samples(data: Dataset, labels: Sequence[str], seed: int) -> l
     return out
 
 
+def _seed_candidates(row: np.ndarray, tags: np.ndarray, t: int) -> np.ndarray:
+    """The lattice input of candidates ``tags`` (one per row) at ``row``:
+    every input's value slot holds row, and tag i is a unit direction on
+    variable tags[b, i]."""
+    arr = np.zeros((len(tags), row.size, 1 << t))
+    arr[:, :, 0] = row
+    arr[np.arange(len(tags))[:, None], tags, 1 << np.arange(t)] = 1.0
+    return arr
+
+
 def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     """Check the model against the task and return scores(row, order,
     candidates), which scores every same-order candidate at a row in one
     batched lattice pass: row b of the batch carries candidate b's tags.
-    A domain error, which a callable raises from the row's value slot
-    that every candidate shares, drops all of that row's candidates."""
+
+    The pass is streamed: the seeded input is built and evaluated one
+    ``mlp.row_chunks`` chunk at a time, for callables too, so its memory
+    is one chunk's whatever the candidate count, and the scores have the
+    bytes of the whole batch (see ``forward_lattice``).  A domain error
+    from any chunk, which a callable raises from the row's value slot that
+    every candidate shares, drops all of that row's candidates."""
     if isinstance(model, Mlp):
         if task == "classification" and class_index >= model.config.output_dim:
             raise ValueError(
@@ -188,25 +204,20 @@ def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     def scores(row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]) -> dict:
         if not candidates:
             return {}
-        k = 1 << order
-        arr = np.zeros((len(candidates), row.size, k))
-        arr[:, :, 0] = row
         tags = np.asarray(candidates)
-        arr[np.arange(len(tags))[:, None], tags, 1 << np.arange(order)] = 1.0
+        column = class_index if task == "classification" else 0
+        full = np.empty(len(tags))
         try:
-            out = forward_lattice(model, arr, order)
+            for lo, hi in row_chunks(model, len(tags), row.size, order):
+                out = forward_lattice(model, _seed_candidates(row, tags[lo:hi], order), order)
+                if task == "classification" and not use_logit:
+                    out = softmax_lattice(out, order)
+                full[lo:hi] = out[:, column, -1]
         except DomainError:
             warnings.warn(
                 f"dropped {len(candidates)} candidate(s) at one representative (domain error)"
             )
             return {}
-        if task == "classification":
-            if not use_logit:
-                out = softmax_lattice(out, order)
-            series = out[:, class_index, :]
-        else:
-            series = out[:, 0, :]
-        full = series[:, k - 1]
         return {cand: float(full[b]) for b, cand in enumerate(candidates)}
 
     return scores

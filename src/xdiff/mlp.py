@@ -346,9 +346,33 @@ def activation_table(cfg: MlpConfig) -> ElementaryTable:
     return GELU if cfg.activation == "gelu" else max_const_table(0.0)
 
 
-# Row chunks of an Mlp lattice pass (see forward_lattice).
+# Row chunks of a lattice pass (see row_chunks).
 CHUNK_BYTES = 1 << 20
 CHUNK_MIN_COLUMNS = 8192
+
+
+def row_chunks(model, rows: int, inputs: int, t: int) -> list[tuple[int, int]]:
+    """The even (lo, hi) row chunks of a lattice pass of ``rows`` rows of
+    ``inputs`` inputs each at t tags; a small batch is one chunk.
+
+    With W the widest of the input and, for an ``Mlp``, its layers, and
+    F = max(1, floor(CHUNK_BYTES / (W * 2^t * 8))) the rows that fit in
+    CHUNK_BYTES, there are min(ceil(rows / F), floor(rows * W /
+    CHUNK_MIN_COLUMNS)) chunks, and at least one.  CHUNK_BYTES (1 MiB)
+    keeps each coefficient array of a chunk, its seeded input included,
+    within a 2 MiB L2 cache, and bounds a pass's peak memory by the chunk
+    rather than the batch.  CHUNK_MIN_COLUMNS keeps at least 8192 columns
+    (rows times width) in each chunk, so numpy's ~1 us per call stays
+    small against the work of each elementwise call.  A chunk given back
+    to this rule is one chunk, so ``forward_lattice`` runs a caller's
+    chunk whole.
+    """
+    width = inputs
+    if isinstance(model, Mlp):
+        width = max(width, *model.config.hidden, model.config.output_dim)
+    fit = max(1, CHUNK_BYTES // (width << (t + 3)))
+    n = max(1, min(-(-rows // fit), rows * width // CHUNK_MIN_COLUMNS))
+    return [(rows * c // n, rows * (c + 1) // n) for c in range(n)]
 
 
 def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
@@ -359,15 +383,15 @@ def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
     pass up to the summation order of the affine maps.  Any other
     callable goes through ``lattice_call``, giving (batch, 1, 2^t).
 
-    An ``Mlp`` takes its batch in even row chunks, each written into one
-    result array; a small batch is one chunk.  With W the widest layer,
-    a batch of R rows runs in min(ceil(R * W * 2^t * 8 / CHUNK_BYTES),
-    floor(R * W / CHUNK_MIN_COLUMNS)) chunks, and at least one.
-    CHUNK_BYTES (1 MiB) keeps each layer's coefficient array of a chunk
-    within a 2 MiB L2 cache, and bounds the pass's peak memory by the
-    chunk rather than the batch.  CHUNK_MIN_COLUMNS keeps at least 8192
-    columns (rows times layer width) in each chunk, so numpy's ~1 us
-    per call stays small against the work of each elementwise call.
+    An ``Mlp`` takes its batch in the row chunks of ``row_chunks``, each
+    written into one result array.  No layer-sized array outlives its
+    last reader: a layer's input is dropped once its pre-activation z is
+    formed, and lattice_compose writes its level 0 into z's buffer
+    (``overwrite_g``).  So a dense layer holds 2.5 layer arrays at the
+    peak (z's live rows, copied subset-first, and two chain-rule levels)
+    and 2 while it transposes level 0 into the layer's output.  detect,
+    whose batch can be too large to seed whole, builds and passes it one
+    ``row_chunks`` chunk at a time.
 
     Chunking leaves every finite result's bytes as they are.  np.matmul
     runs one product per batch row, and lattice_compose works column by
@@ -382,17 +406,17 @@ def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
         return lattice_call(model, arr, t)[:, None, :]
     table = activation_table(model.config)
     last = len(model.weights) - 1
-    rows = len(arr)
-    columns = rows * max((*model.config.hidden, model.config.output_dim))
-    chunks = max(1, min(-(-columns * (8 << t) // CHUNK_BYTES), columns // CHUNK_MIN_COLUMNS))
-    out = np.empty((rows, model.config.output_dim, 1 << t))
-    for c in range(chunks):
-        lo, hi = rows * c // chunks, rows * (c + 1) // chunks
+    out = np.empty((len(arr), model.config.output_dim, 1 << t))
+    for lo, hi in row_chunks(model, len(arr), arr.shape[1], t):
         h = arr[lo:hi]
         for i, (w, b) in enumerate(zip(model.weights, model.biases)):
             z = np.matmul(w, h)
+            del h
             z[..., 0] += b
-            h = z if i == last else lattice_compose(table, z, t)
+            # looked up in this module at call time, so a patched or traced
+            # lattice_compose sees every chain rule
+            h = z if i == last else lattice_compose(table, z, t, overwrite_g=True)
+            del z
         out[lo:hi] = h
     return out
 
@@ -739,9 +763,42 @@ def save_model(model: Mlp, path, normalizer: Normalizer | None = None) -> None:
 
 
 def load_model(path) -> tuple[Mlp, Normalizer | None]:
-    doc = json.loads(Path(path).read_text())
-    cfg = MlpConfig(**doc["config"])
-    weights = [np.asarray(l["weights"], dtype=np.float64) for l in doc["layers"]]
-    biases = [np.asarray(l["bias"], dtype=np.float64) for l in doc["layers"]]
-    norm = Normalizer(**doc["normalizer"]) if "normalizer" in doc else None
-    return Mlp(weights, biases, cfg), norm
+    """Read a checkpoint written by ``save_model``.  Every error names the
+    path: a file that is not JSON, or a missing or ill-typed ``config``,
+    ``layers``, ``layers[i].weights``, ``layers[i].bias`` or
+    ``normalizer``, raises a ValueError that also names the field.  A
+    config the model rejects keeps its error's type (TypeError for an
+    unknown or missing key)."""
+    try:
+        doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    except ValueError as e:  # JSONDecodeError, UnicodeDecodeError
+        raise ValueError(f"{path}: not a JSON checkpoint: {e}") from None
+
+    def bad(name: str) -> ValueError:
+        return ValueError(f"{path}: checkpoint field {name} is missing or ill-typed")
+
+    if not isinstance(doc, dict) or not isinstance(doc.get("config"), dict):
+        raise bad("config")
+    try:
+        cfg = MlpConfig(**doc["config"])
+    except (TypeError, ValueError) as e:
+        raise type(e)(f"{path}: config: {e}") from None
+    if not isinstance(doc.get("layers"), list):
+        raise bad("layers")
+    arrays = []
+    for i, layer in enumerate(doc["layers"]):
+        for key in ("weights", "bias"):
+            try:
+                arrays.append(np.asarray(layer[key], dtype=np.float64))
+            except (KeyError, TypeError, ValueError):
+                raise bad(f"layers[{i}].{key}") from None
+    norm = None
+    if "normalizer" in doc:
+        try:
+            norm = Normalizer(**doc["normalizer"])
+        except (TypeError, ValueError):
+            raise bad("normalizer") from None
+    try:
+        return Mlp(arrays[0::2], arrays[1::2], cfg), norm
+    except ValueError as e:
+        raise ValueError(f"{path}: {e}") from None

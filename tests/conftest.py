@@ -2,6 +2,7 @@ import os
 import subprocess
 import sys
 import threading
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,6 +35,23 @@ def no_thread_outlives_the_test():
     left = [t.name for t in threading.enumerate() if t not in before]
     if left:
         pytest.fail(f"threads still alive after the test: {left}")
+
+
+@pytest.fixture()
+def traced_peak():
+    """peak(fn, *args, **kwargs): the bytes fn allocates at its peak,
+    above what was live when it was called, as tracemalloc counts them."""
+
+    def peak(fn, *args, **kwargs):
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            fn(*args, **kwargs)
+            return tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+
+    return peak
 
 
 @pytest.fixture()

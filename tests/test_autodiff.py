@@ -1,6 +1,5 @@
 import itertools
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -478,9 +477,10 @@ def test_lattice_compose_matches_set_partition_sum_at_eight_tags():
 # the recurrence over every submask pair exactly, not just to rounding
 
 
-def _compose_full(table, g, t):
+def _compose_full(table, g, t, overwrite_g=False):
     """lattice_compose's recurrence over every pair of _chain_pairs, each
-    mask summed row by row from +0.0 (for a batch, np.sum's order)."""
+    mask summed row by row from +0.0 (for a batch, np.sum's order); it
+    never writes g, which ``overwrite_g`` allows but does not require."""
     x0 = g[..., 0]
     deriv = table.series(t, x0)
     gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
@@ -557,6 +557,23 @@ def test_lattice_compose_keeps_the_bytes_of_the_full_recurrence(table, x0):
         _assert_same_bytes(g, before)
 
 
+@pytest.mark.parametrize("make", [_dense_lattice, _singleton_lattice])
+def test_lattice_compose_writes_g_only_when_asked(make):
+    """A public call leaves g bit-identical; overwrite_g, which only
+    forward_lattice passes, gives the same bytes with g's buffer as
+    scratch (its level 0 is written there)."""
+    rng = np.random.default_rng(22)
+    for t in range(1, MAX_TAGS + 1):
+        g = make(rng, -0.7, (5, 3), t)
+        before = g.copy()
+        want = lattice_compose(ad.GELU, g, t)
+        _assert_same_bytes(g, before)
+        got = lattice_compose(ad.GELU, g, t, overwrite_g=True)
+        _assert_same_bytes(got, want)
+        assert not np.shares_memory(got, g)
+        assert g.tobytes() != before.tobytes()
+
+
 def _spy_table(table, shapes):
     """``table`` recording the shape of every array its series is taken on."""
     def series(k, x):
@@ -596,17 +613,13 @@ def test_lattice_compose_tells_a_negative_zero_value_from_a_positive_one():
 
 @pytest.mark.parametrize("shape,t", [((512, 64), 4), ((32, 100), 7)])
 @pytest.mark.parametrize("make", [_dense_lattice, _singleton_lattice])
-def test_lattice_compose_peak_memory_is_bounded_by_its_result(shape, t, make):
-    """Row copies, scratch row and levels stay within 3x the result."""
+def test_lattice_compose_peak_memory_is_bounded_by_its_result(shape, t, make, traced_peak):
+    """Row copies, scratch row and levels stay within 3x the result, which
+    is shaped like g."""
     g = make(np.random.default_rng(19), -0.7, shape, t)
     lattice_compose(ad.GELU, g, t)  # fill the memo of live pairs first
-    tracemalloc.start()
-    try:
-        out = lattice_compose(ad.GELU, g, t)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 3.0 * out.nbytes, f"peak {peak / out.nbytes:.2f}x the result"
+    peak = traced_peak(lattice_compose, ad.GELU, g, t)
+    assert peak <= 3.0 * g.nbytes, f"peak {peak / g.nbytes:.2f}x the result"
 
 
 def _detect_seeds(row, candidates, t):
@@ -656,9 +669,9 @@ def test_forward_lattice_matches_full_recurrence(monkeypatch):
     cases += [(wide, big, 4), (wide, partial, 4)]
     chunk_rows = []
 
-    def spy(table, g, t):
+    def spy(table, g, t, **kwargs):
         chunk_rows.append(len(g))
-        return lattice_compose(table, g, t)
+        return lattice_compose(table, g, t, **kwargs)
 
     monkeypatch.setattr(mlp, "lattice_compose", spy)
     mlp.forward_lattice(wide, big, 4)

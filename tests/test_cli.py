@@ -176,6 +176,23 @@ def test_malformed_env_seed(tmp_path, monkeypatch, capsys):
     assert "XDIFF_SEED must be an integer" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("text, message", [
+    ("<html>not a checkpoint</html>", "not a JSON checkpoint"),
+    ('{"config": {"input_dim": 4, "hidden": [8]}}', "checkpoint field layers is missing"),
+    ('{"config": {"input_dim": 4, "hidden": [8]}, "layers": [{"weights": []}, {}]}',
+     "checkpoint field layers[0].bias is missing"),
+], ids=["not-json", "no-layers", "no-bias"])
+def test_malformed_checkpoint_exits_1_naming_its_path(tmp_path, small_csv, capsys, text, message):
+    model = tmp_path / "broken_model.json"
+    model.write_text(text)
+    code = main(["detect", "--model", str(model), "--data", str(small_csv),
+                 "--out-dir", str(tmp_path / "det")])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {model}: {message}"), err
+    assert _read_run(tmp_path / "det")["status"] == "error"
+
+
 # --- train / detect / cam round trip
 
 def test_train_detect_cam_round_trip(tmp_path, small_csv):

@@ -7,6 +7,8 @@ import pytest
 
 from xdiff import autodiff as ad
 from xdiff import benchmarks as bm
+from xdiff import detect as detect_mod
+from xdiff import mlp
 from xdiff.autodiff import CapacityError, cross_partial
 from xdiff.detect import (
     AGGREGATION_LABELS,
@@ -227,6 +229,84 @@ def test_callable_domain_error_drops_all_candidates_at_that_representative():
         want = cross_partial(fn, mean_row, c)
         assert ranking.per_representative["mean"][2][c] == pytest.approx(want, rel=1e-13)
     assert {s for s, _ in ranking.orders[2]} == set(combinations(range(3), 2))
+
+
+# --- one order's candidates stream through the lattice pass in row chunks
+
+
+def _small_chunks(monkeypatch, columns):
+    """Cut every lattice pass into chunks of about ``columns`` columns
+    (rows times the widest of the input and the layers)."""
+    monkeypatch.setattr(mlp, "CHUNK_BYTES", 1)
+    monkeypatch.setattr(mlp, "CHUNK_MIN_COLUMNS", columns)
+
+
+def _chunk_rows(monkeypatch):
+    """The row count of every forward_lattice call detect makes."""
+    rows = []
+
+    def spy(model, arr, t):
+        rows.append(len(arr))
+        return mlp.forward_lattice(model, arr, t)
+
+    monkeypatch.setattr(detect_mod, "forward_lattice", spy)
+    return rows
+
+
+def test_streamed_scores_have_the_bytes_of_one_batch(monkeypatch):
+    """Scores from 2-8 row chunks equal those of one whole batch bit for
+    bit, for a regression net, a classifier through softmax and a callable."""
+    rng = np.random.default_rng(33)
+    net = init_mlp(MlpConfig(input_dim=10, hidden=(16, 8), seed=5))
+    clf = init_mlp(MlpConfig(input_dim=10, hidden=(12,), output_dim=3, seed=6))
+    row = bm.sample_dataset("F4", 1, seed=7).features[0]
+    cases = [
+        (net, {}), (clf, {"task": "classification", "class_index": 2}),
+        (lambda z: bm.eval_function("F4", z), {}),
+    ]
+    for order in (2, 3, 4):
+        cands = list(combinations(range(10), order))
+        want = [local_ies(model, row, order, cands, **kw) for model, kw in cases]
+        with monkeypatch.context() as m:
+            _small_chunks(m, 16 * 8)  # eight candidates of the 16-wide net per chunk
+            rows = _chunk_rows(m)
+            got = [local_ies(model, row, order, cands, **kw) for model, kw in cases]
+        assert sum(rows) == 3 * len(cands) and len(rows) > 3 * 2
+        for w, g in zip(want, got):
+            assert list(g) == list(w) == cands
+            assert np.array(list(g.values())).tobytes() == np.array(list(w.values())).tobytes()
+
+
+def test_domain_error_in_a_later_chunk_drops_every_candidate_of_the_row(monkeypatch):
+    calls = []
+
+    def fn(z):
+        calls.append(len(z[0].coeffs))
+        if len(calls) == 2:
+            raise ad.DomainError("log", -1.0, "x > 0")
+        return z[0] * z[1]
+
+    _small_chunks(monkeypatch, 10 * 10)  # ten candidates per chunk
+    cands = list(combinations(range(10), 2))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert local_ies(fn, np.ones(10), 2, cands) == {}
+    assert calls == [11, 11]  # the first chunk scored, the second raised, none after
+    assert [str(w.message) for w in caught] == [
+        "dropped 45 candidate(s) at one representative (domain error)"
+    ]
+
+
+def test_detect_memory_at_p_100_is_one_row_chunk(traced_peak):
+    """4,950 order-2 candidates at one representative: seeded whole, their
+    (4950, 100, 4) input alone took 15 MiB and the pass peaked at 19 MiB."""
+    rng = np.random.default_rng(34)
+    data = normalize(Dataset(rng.normal(size=(50, 100)), rng.normal(size=50)))
+    model = init_mlp(MlpConfig(input_dim=100, seed=0))
+    cfg = DetectConfig(max_order=2, representatives=("mean",))
+    detect(model, data, cfg)  # fill the memo of live pairs first
+    peak = traced_peak(detect, model, data, cfg)
+    assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MiB"
 
 
 def test_callable_with_classification_task_is_rejected():

@@ -1,10 +1,10 @@
+import itertools
 import json
 import math
 import re
 import sys
 import threading
 import time
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -503,6 +503,55 @@ def test_checkpoint_with_missing_layers_names_both_counts(tmp_path):
         Mlp(model.weights, model.biases[:2], model.config)
 
 
+def _checkpoint_doc(path):
+    save_model(init_mlp(MlpConfig(input_dim=3, hidden=(4,), seed=2)), path,
+               normalizer=normalize(_toy(seed=2)).normalizer)
+    return json.loads(path.read_text())
+
+
+@pytest.mark.parametrize("edit, field", [
+    (lambda doc: doc.pop("config"), "config"),
+    (lambda doc: doc.update(config=[3, 4]), "config"),
+    (lambda doc: doc.pop("layers"), "layers"),
+    (lambda doc: doc["layers"][1].pop("weights"), "layers[1].weights"),
+    (lambda doc: doc["layers"][0].update(bias="zeros"), "layers[0].bias"),
+    (lambda doc: doc["layers"].__setitem__(1, [1.0]), "layers[1].weights"),
+    (lambda doc: doc["normalizer"].pop("std"), "normalizer"),
+    (lambda doc: doc.update(normalizer=None), "normalizer"),
+], ids=["no-config", "config-list", "no-layers", "no-weights", "bias-str", "layer-list",
+        "normalizer-no-std", "normalizer-null"])
+def test_malformed_checkpoint_names_its_path_and_field(tmp_path, edit, field):
+    path = tmp_path / "model.json"
+    doc = _checkpoint_doc(path)
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    want = f"{path}: checkpoint field {field} is missing or ill-typed"
+    with pytest.raises(ValueError, match=re.escape(want) + "$"):
+        load_model(path)
+
+
+def test_checkpoint_that_is_not_json_names_its_path(tmp_path):
+    path = tmp_path / "model.json"
+    for raw in (b"", b"{\"config\": ", b"\xff\xfe"):
+        path.write_bytes(raw)
+        with pytest.raises(ValueError, match=re.escape(f"{path}: not a JSON checkpoint")):
+            load_model(path)
+
+
+def test_checkpoint_config_and_shape_errors_name_the_path(tmp_path):
+    path = tmp_path / "model.json"
+    doc = _checkpoint_doc(path)
+    doc["config"]["hidden"] = [0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: config: all hidden widths")):
+        load_model(path)
+    doc = _checkpoint_doc(path)
+    doc["layers"][0]["bias"] = [0.0]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(f"{path}: layer 0 has shape")):
+        load_model(path)
+
+
 def test_csv_roundtrip(tmp_path):
     data = _toy(n=17, seed=21)
     path = tmp_path / "d.csv"
@@ -591,18 +640,7 @@ def test_csv_file_is_closed_when_parsing_raises(tmp_path, monkeypatch):
     assert len(opened) == 2 and opened[1].closed
 
 
-def _traced_peak(fn, *args):
-    """Bytes fn(*args) allocates at its peak above what was live before."""
-    tracemalloc.start()
-    try:
-        base = tracemalloc.get_traced_memory()[0]
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1] - base
-    finally:
-        tracemalloc.stop()
-
-
-def test_csv_memory_is_one_block_beside_the_matrix(tmp_path):
+def test_csv_memory_is_one_block_beside_the_matrix(tmp_path, traced_peak):
     """A 50,000-row, 11-column save holds one block of Python floats
     beside the dataset, and a load one block of strings beside the parsed
     blocks and the matrix they are joined into."""
@@ -611,11 +649,48 @@ def test_csv_memory_is_one_block_beside_the_matrix(tmp_path):
     matrix_bytes = data.features.nbytes + data.targets.nbytes
     path = tmp_path / "big.csv"
     mib = 1 << 20
-    assert _traced_peak(save_csv, data, path) <= matrix_bytes + 4 * mib
-    assert _traced_peak(load_csv, path) <= 2 * matrix_bytes + 4 * mib
+    assert traced_peak(save_csv, data, path) <= matrix_bytes + 4 * mib
+    assert traced_peak(load_csv, path) <= 2 * matrix_bytes + 4 * mib
     back = load_csv(path)
     assert back.features.tobytes() == data.features.tobytes()
     assert back.targets.tobytes() == data.targets.tobytes()
+
+
+@pytest.mark.parametrize("width, t", [(10, 7), (140, 2), (200, 3), (5000, 8)])
+def test_row_chunks_fit_and_a_chunk_given_back_is_one_chunk(width, t):
+    """Even, contiguous chunks, each within CHUNK_BYTES unless one row or
+    the CHUNK_MIN_COLUMNS floor makes it larger, and a chunk given back
+    is one chunk, so forward_lattice runs a caller's chunk whole (a chunk
+    one row past CHUNK_BYTES would be split in two again)."""
+    model = init_mlp(MlpConfig(input_dim=width, hidden=(64, 32), seed=0))
+    widest = max(width, 64)
+    for rows in range(1, 600):
+        chunks = mlp.row_chunks(model, rows, width, t)
+        sizes = [hi - lo for lo, hi in chunks]
+        assert chunks[0][0] == 0 and chunks[-1][1] == rows
+        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+        floor = len(chunks) == max(1, rows * widest // mlp.CHUNK_MIN_COLUMNS)
+        assert floor or max(sizes) == 1 or max(sizes) * widest << (t + 3) <= mlp.CHUNK_BYTES
+        assert all(mlp.row_chunks(model, n, width, t) == [(0, n)] for n in set(sizes))
+
+
+def test_order7_lattice_pass_holds_at_most_2_5_layer_arrays(traced_peak):
+    """30 seeded order-7 candidates through the default 10-140-100-60-20-1
+    net, one row chunk: each layer's input dies once its pre-activation z
+    is formed and the chain rule writes its level 0 into z, so a layer
+    holds z's row copies and two levels.  Keeping the layer input and z
+    alive beside them took about 3.5 of the widest (30, 140, 128) arrays."""
+    net = init_mlp(MlpConfig(input_dim=10, seed=0))
+    tags = np.array(list(itertools.combinations(range(10), 7))[:30])
+    arr = np.zeros((30, 10, 128))
+    arr[..., 0] = np.random.default_rng(41).normal(size=10)
+    arr[np.arange(30)[:, None], tags, 1 << np.arange(7)] = 1.0
+    assert mlp.row_chunks(net, 30, 10, 7) == [(0, 30)]
+    forward_lattice(net, arr, 7)  # fill the memo of live pairs first
+    widest = 30 * 140 * 128 * 8
+    peak = traced_peak(forward_lattice, net, arr, 7)
+    assert peak <= 2.5 * widest, f"peak {peak / widest:.2f}x the widest layer array"
 
 
 def test_csv_cells_parse_as_float_does():

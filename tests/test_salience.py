@@ -1,4 +1,3 @@
-import tracemalloc
 from dataclasses import replace
 from itertools import combinations, permutations, product
 from math import comb
@@ -213,18 +212,13 @@ def test_one_lattice_row_per_vector_and_multiset_of_the_others(monkeypatch):
             assert seen == [n * rest]
 
 
-def test_order4_taylor_cam_peak_memory_is_bounded_by_its_row_chunks():
+def test_order4_taylor_cam_peak_memory_is_bounded_by_its_row_chunks(traced_peak):
     """Order 4 on a 9x4 grid is 504 lattice rows; run whole, the 36-64-32-1
     net's (504, 64, 16) layers lifted the peak to about 14 MB."""
     net = init_mlp(MlpConfig(input_dim=36, hidden=(64, 32), seed=0))
     grid = FeatureGrid(np.random.default_rng(1).normal(size=(9, 4)))
     taylor_cam(net, grid, 4)  # fill the caches of index sets and live pairs first
-    tracemalloc.start()
-    try:
-        taylor_cam(net, grid, 4)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = traced_peak(taylor_cam, net, grid, 4)
     assert peak <= 8e6, f"peak {peak / 1e6:.2f} MB"
 
 
