@@ -385,9 +385,9 @@ def build_parser() -> _Parser:
     common.add_argument("--seed", type=int, default=None,
                         help="base RNG seed (default: XDIFF_SEED env var, else 0)")
     common.add_argument("--threads", type=int, default=1,
-                        help="accepted by every subcommand and used by none yet (train "
-                             "always validates on one worker thread); never changes "
-                             "output bytes")
+                        help="at least 1; accepted by every subcommand and used by none "
+                             "yet (train always validates on one worker thread); never "
+                             "changes output bytes")
     common.add_argument("--out-dir", default=".", help="directory for artifacts and run.json")
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))
@@ -517,6 +517,8 @@ def main(argv=None) -> int:
         return 2
 
     try:
+        if args.threads < 1:
+            raise CliError(f"--threads must be at least 1, got {args.threads}")
         args.func(args, run)
     except OSError as e:
         run.finish("error", str(e))

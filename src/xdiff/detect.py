@@ -13,11 +13,21 @@ vector, which is how the analytic benchmark functions are plugged in
 directly.  Both are scored the same way: one batched lattice pass per
 order and representative, with one candidate per batch row, seeded and
 evaluated one row chunk at a time.
+
+Representatives are independent jobs, scored on Linux on every CPU the
+process may use: the caller scores one round-robin share, forked workers
+one other share each.  A job is the same call on the same inputs in any
+process, with OpenBLAS on one thread, so the bytes do not depend on the
+worker count.  With one representative, another thread running or
+another platform, everything runs in the calling process.
 """
 
 from __future__ import annotations
 
 import logging
+import os
+import sys
+import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations
@@ -190,7 +200,10 @@ def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     is one chunk's whatever the candidate count, and the scores have the
     bytes of the whole batch (see ``forward_lattice``).  A domain error
     from any chunk, which a callable raises from the row's value slot that
-    every candidate shares, drops all of that row's candidates."""
+    every candidate shares, drops all of that row's candidates.
+
+    scores returns (values, dropped count) and warns of nothing, since it
+    may run in a forked worker: the caller warns (``_warn_dropped``)."""
     if isinstance(model, Mlp):
         if task == "classification" and class_index >= model.config.output_dim:
             raise ValueError(
@@ -201,9 +214,9 @@ def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     elif task == "classification":
         raise ValueError("a callable model returns one scalar; use task='regression'")
 
-    def scores(row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]) -> dict:
+    def scores(row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]):
         if not candidates:
-            return {}
+            return {}, 0
         tags = np.asarray(candidates)
         column = class_index if task == "classification" else 0
         full = np.empty(len(tags))
@@ -214,13 +227,14 @@ def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
                     out = softmax_lattice(out, order)
                 full[lo:hi] = out[:, column, -1]
         except DomainError:
-            warnings.warn(
-                f"dropped {len(candidates)} candidate(s) at one representative (domain error)"
-            )
-            return {}
-        return {cand: float(full[b]) for b, cand in enumerate(candidates)}
+            return {}, len(candidates)
+        return {cand: float(full[b]) for b, cand in enumerate(candidates)}, 0
 
     return scores
+
+
+def _warn_dropped(dropped: int) -> None:
+    warnings.warn(f"dropped {dropped} candidate(s) at one representative (domain error)")
 
 
 def local_ies(
@@ -247,8 +261,10 @@ def local_ies(
         if any(not 0 <= i < row.size for i in c):
             raise ValueError(f"candidate {c} indexes outside the sample's {row.size} features")
         cands.append(c)
-    scores = _make_evaluator(model, task, class_index, use_logit)
-    return scores(row, order, cands)
+    values, dropped = _make_evaluator(model, task, class_index, use_logit)(row, order, cands)
+    if dropped:
+        _warn_dropped(dropped)
+    return values
 
 
 def _transform(cfg: DetectConfig, raw: float) -> float:
@@ -260,9 +276,11 @@ def _transform(cfg: DetectConfig, raw: float) -> float:
 def _rep_profile(evaluator, rep: Representative, dim: int, cfg: DetectConfig):
     """Candidate schedule and raw scores for one representative: all
     subsets up to full_order, then single-element extensions of this
-    representative's own top-k at each later order."""
+    representative's own top-k at each later order.  Also returns the
+    candidate counts that domain errors dropped, in order."""
     raw: dict[int, dict[tuple[int, ...], float]] = {}
     parents: dict[int, tuple[tuple[int, ...], ...]] = {}
+    dropped = []
     for order in range(2, cfg.max_order + 1):
         if order <= cfg.full_order:
             cands = [tuple(c) for c in combinations(range(dim), order)]
@@ -273,8 +291,10 @@ def _rep_profile(evaluator, rep: Representative, dim: int, cfg: DetectConfig):
             cands = sorted(
                 {tuple(sorted(set(p) | {j})) for p in top for j in range(dim) if j not in p}
             )
-        raw[order] = evaluator(rep.row, order, cands)
-    return raw, parents
+        raw[order], n = evaluator(rep.row, order, cands)
+        if n:
+            dropped.append(n)
+    return raw, parents, dropped
 
 
 def _aggregate(
@@ -307,10 +327,68 @@ def _aggregate(
     return orders
 
 
+# In a forked worker, the job its parent forked it with: (evaluator,
+# shares, dim, cfg).  A fork hands it over unpickled, closures and all.
+_JOB = None
+
+
+def _adopt_job(*job) -> None:
+    global _JOB
+    _JOB = job
+
+
+def _share_count(jobs: int) -> int:
+    """The number of processes to score ``jobs`` representatives on: one
+    per CPU this process may use, at most one per job, on Linux while no
+    other thread runs (a fork copies the calling thread only); else 1."""
+    if not sys.platform.startswith("linux") or threading.active_count() != 1:
+        return 1
+    return min(jobs, len(os.sched_getaffinity(0)))
+
+
+def _score(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig) -> list:
+    return [_rep_profile(evaluator, rep, dim, cfg) for rep in reps]
+
+
+def _score_forked_share(i: int) -> list:
+    evaluator, shares, dim, cfg = _JOB
+    return _score(evaluator, shares[i], dim, cfg)
+
+
+def _profiles(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig) -> list:
+    """``_rep_profile`` of every representative, in their order.  With w
+    processes (``_share_count``), representative i is in share i mod w:
+    the caller scores share 0 and w - 1 forked workers score one other
+    share each.  An exception in a worker reaches the caller with its
+    type and message, and no worker outlives the call."""
+    w = _share_count(len(reps))
+    if w == 1:
+        return _score(evaluator, reps, dim, cfg)
+    # imported here: importing the pool would cost every import of xdiff
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
+    shares = [reps[i::w] for i in range(w)]
+    with ProcessPoolExecutor(
+        w - 1, mp_context=multiprocessing.get_context("fork"),
+        initializer=_adopt_job, initargs=(evaluator, shares, dim, cfg),
+    ) as pool:
+        # a fork-context pool forks its workers at the first submit, before
+        # it starts a thread of its own
+        futures = [pool.submit(_score_forked_share, i) for i in range(1, w)]
+        done = [_score(evaluator, shares[0], dim, cfg), *(f.result() for f in futures)]
+    results = [None] * len(reps)
+    for i, share in enumerate(done):
+        results[i::w] = share
+    return results
+
+
 def _profile_pass(model, data: Dataset, cfg: DetectConfig):
-    """Score every configured representative once.  Returns the
-    representatives in canonical order, their raw values by order, and
-    the top-k parents each one extended at orders beyond full_order."""
+    """Score every configured representative once, on every CPU where it
+    can (see ``_profiles``).  Returns the representatives in canonical
+    order, their raw values by order, and the top-k parents each one
+    extended at orders beyond full_order.  Domain errors are warned of
+    here, in representative order, whichever process met them."""
     check_derivative_order(model, cfg.max_order)
     if isinstance(model, Mlp):
         if model.config.input_dim != data.dim:
@@ -321,9 +399,12 @@ def _profile_pass(model, data: Dataset, cfg: DetectConfig):
             raise ValueError("normalize the dataset before detecting on a trained model")
     evaluator = _make_evaluator(model, cfg.task, cfg.class_index, cfg.use_logit)
     reps = representative_samples(data, cfg.representatives, cfg.seed)
-    results = [_rep_profile(evaluator, rep, data.dim, cfg) for rep in reps]
-    profiles = {rep.label: raw for rep, (raw, _) in zip(reps, results)}
-    parents = {rep.label: pts for rep, (_, pts) in zip(reps, results)}
+    results = _profiles(evaluator, reps, data.dim, cfg)
+    for _, _, dropped in results:
+        for n in dropped:
+            _warn_dropped(n)
+    profiles = {rep.label: raw for rep, (raw, _, _) in zip(reps, results)}
+    parents = {rep.label: pts for rep, (_, pts, _) in zip(reps, results)}
     return reps, profiles, parents
 
 

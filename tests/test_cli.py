@@ -540,6 +540,18 @@ def test_thread_count_never_changes_bytes(tmp_path, small_csv):
     assert trees[0] == trees[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-2"])
+def test_threads_below_one_exits_1_naming_the_flag(tmp_path, capsys, threads):
+    out = tmp_path / "run"
+    code = main(["gen-data", "--function", "F3", "--samples", "5",
+                 "--threads", threads, "--out-dir", str(out)])
+    assert code == 1
+    message = f"--threads must be at least 1, got {threads}"
+    assert capsys.readouterr().err.strip() == f"error: {message}"
+    run = _read_run(out)
+    assert (run["status"], run["error"], run["artifacts"]) == ("error", message, {})
+
+
 def test_installed_entry_point(tmp_path, xdiff_cli):
     proc = xdiff_cli("gen-data", "--function", "F3", "--samples", "25",
                      "--seed", "0", "--out-dir", str(tmp_path))

@@ -1,10 +1,17 @@
+import os
 import re
+import subprocess
+import sys
+import threading
 import warnings
+from dataclasses import replace
 from itertools import combinations
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import xdiff
 from xdiff import autodiff as ad
 from xdiff import benchmarks as bm
 from xdiff import detect as detect_mod
@@ -523,3 +530,157 @@ def test_package_attribute_detect_is_the_module():
     assert m is xdiff.detect
     assert m.__name__ == "xdiff.detect"
     assert "detect" not in xdiff.__all__
+
+
+# --- representatives scored on w processes: the caller and w - 1 forked workers
+
+
+def _force_shares(monkeypatch, w):
+    """Score on w processes whatever the CPU count."""
+    monkeypatch.setattr(detect_mod, "_share_count", lambda jobs: min(jobs, w))
+
+
+def _ranking_bytes(ranking):
+    per = [
+        (lab, order, tuple(vals), np.array(list(vals.values())).tobytes())
+        for lab, by_order in ranking.per_representative.items()
+        for order, vals in by_order.items()
+    ]
+    orders = [
+        (order, tuple(s for s, _ in rows), np.array([v for _, v in rows]).tobytes())
+        for order, rows in ranking.orders.items()
+    ]
+    return per, orders, ranking.top_parents
+
+
+def _child_pids():
+    """The pids of this process's children, read from /proc."""
+    pids = set()
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rsplit(")", 1)[1].split()
+        except OSError:  # the process is gone
+            continue
+        if int(fields[1]) == os.getpid():
+            pids.add(int(stat.parent.name))
+    return pids
+
+
+def test_share_count_is_one_for_one_job_or_beside_another_thread():
+    assert detect_mod._share_count(1) == 1
+    assert 1 <= detect_mod._share_count(6) <= 6
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert detect_mod._share_count(6) == 1
+    finally:
+        stop.set()
+        other.join()
+
+
+def test_scores_on_two_processes_have_the_bytes_of_one(monkeypatch):
+    """per_representative, orders and top parents of detect, and the
+    aggregation_sweep rows, for a regression net, a softmax classifier and
+    a callable, are the same bit for bit on one process and on two."""
+    rng = np.random.default_rng(35)
+    clf = init_mlp(MlpConfig(input_dim=10, hidden=(12,), output_dim=3, seed=6))
+    clf_data = normalize(Dataset(rng.normal(size=(120, 10)), rng.normal(size=(120, 3))))
+    cases = [
+        (*_random_setup(), {}),
+        (clf, clf_data, {"task": "classification", "class_index": 2}),
+        (lambda z: bm.eval_function("F4", z), bm.sample_dataset("F4", 120, seed=8), {}),
+    ]
+
+    def score(ranking):
+        return sum(v for _, v in ranking.orders[2][:5]) + sum(v for _, v in ranking.orders[3][:3])
+
+    for model, data, kw in cases:
+        cfg = DetectConfig(max_order=4, top_k=3, representatives=REPRESENTATIVE_LABELS, **kw)
+        got = []
+        for w in (1, 2):
+            _force_shares(monkeypatch, w)
+            sweep = aggregation_sweep(model, data, replace(cfg, max_order=3), score)
+            got.append((
+                _ranking_bytes(detect(model, data, cfg)),
+                [(r.label, np.float64(r.score).tobytes()) for r in sweep],
+            ))
+        assert got[0] == got[1]
+
+
+def test_domain_errors_in_both_shares_warn_in_representative_order(monkeypatch):
+    """"min" (a worker's share) drops its 6 order-2 candidates, "max" (the
+    caller's share) its 2 order-3 candidates; on two processes the caller
+    scores "max" first, yet the warnings come in representative order."""
+
+    def fn(z):
+        if z[0].ntags == 3 and z[0].coeffs.flat[0] > 2.0:
+            raise ad.DomainError("sqrt", -1.0, "x >= 0")
+        return ad.log(z[0]) * z[1] * z[2] + z[2] * z[3]
+
+    rng = np.random.default_rng(36)
+    x = rng.uniform(0.5, 1.0, size=(40, 4))
+    x[7] = [-1.0, 0.1, 0.1, 0.1]  # "min": outside log's domain
+    x[9] = [3.0, 2.0, 2.0, 2.0]  # "max": fails at order 3 only
+    data = Dataset(x, np.zeros((40, 1)))
+    cfg = DetectConfig(max_order=3, top_k=1, representatives=("mean", "min", "max", "mode"))
+    runs = []
+    for w in (1, 2):
+        _force_shares(monkeypatch, w)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            ranking = detect(fn, data, cfg)
+        runs.append(([str(c.message) for c in caught], _ranking_bytes(ranking)))
+    assert runs[0][0] == [
+        "dropped 6 candidate(s) at one representative (domain error)",
+        "dropped 2 candidate(s) at one representative (domain error)",
+    ]
+    assert runs[1] == runs[0]
+    assert ranking.per_representative["min"] == {2: {}, 3: {}}
+    assert ranking.per_representative["max"][3] == {}
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_no_worker_process_or_thread_outlives_detect(monkeypatch, raises):
+    """A ValueError at "min", which a forked worker scores, reaches the
+    caller with its type and message; returning or raising, detect leaves
+    no child process and no thread behind."""
+
+    def fn(z):
+        if raises and z[0].coeffs.flat[0] < -2.0:
+            raise ValueError("no value at the minimum")
+        return z[0] * z[1] * z[2]
+
+    rng = np.random.default_rng(37)
+    x = rng.uniform(-1.0, 1.0, size=(30, 3))
+    x[4] = [-3.0, -3.0, -3.0]
+    data = Dataset(x, np.zeros((30, 1)))
+    cfg = DetectConfig(max_order=3, representatives=("mean", "min", "max"))
+    _force_shares(monkeypatch, 2)
+    children, threads = _child_pids(), set(threading.enumerate())
+    if raises:
+        with pytest.raises(ValueError, match="^no value at the minimum$"):
+            detect(fn, data, cfg)
+    else:
+        assert len(detect(fn, data, cfg).orders[3]) == 1
+    assert _child_pids() == children
+    assert set(threading.enumerate()) == threads
+    if "multiprocessing" in sys.modules:
+        assert sys.modules["multiprocessing"].active_children() == []
+
+
+def test_import_leaves_the_process_pool_unloaded():
+    """Importing the pool costs every xdiff import; only detect's split
+    loads it, on first use."""
+    src = str(Path(xdiff.__file__).resolve().parent.parent)
+    code = (
+        "import sys, xdiff; "
+        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
+        "if m in sys.modules))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
