@@ -14,12 +14,15 @@ directly.  Both are scored the same way: one batched lattice pass per
 order and representative, with one candidate per batch row, seeded and
 evaluated one row chunk at a time.
 
-Representatives are independent jobs, scored on Linux on every CPU the
-process may use: the caller scores one round-robin share, forked workers
-one other share each.  A job is the same call on the same inputs in any
-process, with OpenBLAS on one thread, so the bytes do not depend on the
-worker count.  With one representative, another thread running or
-another platform, everything runs in the calling process.
+Representatives are independent jobs, scored on Linux on up to every
+CPU the process may use: the caller scores one round-robin share, forked
+workers one other share each, and each process gets at least
+SHARE_MIN_CELLS of the estimated work.  A job is the same call on the
+same inputs in any process, with OpenBLAS on one thread, so the bytes do
+not depend on the worker count.  With one representative, less work
+than two shares' worth, another thread running, inside a multiprocessing
+child or on another platform, everything runs in the calling process,
+as it always does for ``aggregation_sweep``.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations
+from math import comb
 from typing import Callable, Mapping, Sequence
 
 import numpy as np
@@ -337,13 +341,52 @@ def _adopt_job(*job) -> None:
     _JOB = job
 
 
-def _share_count(jobs: int) -> int:
-    """The number of processes to score ``jobs`` representatives on: one
-    per CPU this process may use, at most one per job, on Linux while no
-    other thread runs (a fork copies the calling thread only); else 1."""
+# The least estimated work (``_lattice_cells``) worth a process of its
+# own.  A split costs about 30 ms over its shares on 2 cores at 70 MB RSS:
+# a fork, first writes to inherited pages, the uneven shares.  Measured
+# there, a split slowed every detect of up to 1.5M cells (45 ms in one
+# process) and sped up every one from 2.4M cells (70-95 ms).
+SHARE_MIN_CELLS = 1 << 20
+
+
+def _lattice_cells(model, dim: int, cfg: DetectConfig) -> int:
+    """An upper bound on the lattice cells one representative's profile
+    pushes through the model: at each order t, candidates times 2^t times
+    a width, the sum of an Mlp's layer widths or a callable's inputs.
+    Beyond full_order a representative extends top_k subsets of t - 1
+    variables by one of the other dim - t + 1."""
+    if isinstance(model, Mlp):
+        width = sum(model.config.hidden) + model.config.output_dim
+    else:
+        width = dim
+    cells = 0
+    for t in range(2, cfg.max_order + 1):
+        n = comb(dim, t)
+        if t > cfg.full_order:
+            n = min(n, cfg.top_k * max(0, dim - t + 1))
+        cells += n << t
+    return cells * width
+
+
+def _share_count(jobs: int, cells: int) -> int:
+    """The number of processes to score ``jobs`` representatives on, with
+    ``cells`` the estimated work of all of them: one per CPU this process
+    may use, at most one per job and one per SHARE_MIN_CELLS, on Linux
+    while no other thread runs (a fork copies the calling thread only);
+    else 1.
+
+    Also 1 inside a multiprocessing child: a daemonic pool worker may not
+    start children, and a job that some pool already placed on a CPU
+    should not fork more processes than there are CPUs.  The CPUs are
+    those of ``os.sched_getaffinity``, which does not see a cgroup CPU
+    quota (``cpu.max``): under a quota smaller than the affinity set, the
+    shares compete for the quota's time."""
     if not sys.platform.startswith("linux") or threading.active_count() != 1:
         return 1
-    return min(jobs, len(os.sched_getaffinity(0)))
+    mp = sys.modules.get("multiprocessing")
+    if mp is not None and mp.parent_process() is not None:
+        return 1
+    return max(1, min(jobs, len(os.sched_getaffinity(0)), cells // SHARE_MIN_CELLS))
 
 
 def _score(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig) -> list:
@@ -355,13 +398,14 @@ def _score_forked_share(i: int) -> list:
     return _score(evaluator, shares[i], dim, cfg)
 
 
-def _profiles(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig) -> list:
-    """``_rep_profile`` of every representative, in their order.  With w
-    processes (``_share_count``), representative i is in share i mod w:
-    the caller scores share 0 and w - 1 forked workers score one other
-    share each.  An exception in a worker reaches the caller with its
-    type and message, and no worker outlives the call."""
-    w = _share_count(len(reps))
+def _profiles(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig, w: int) -> list:
+    """``_rep_profile`` of every representative, in their order, on w
+    processes: representative i is in share i mod w, the caller scores
+    share 0 and w - 1 forked workers score one other share each.  An
+    exception in a worker reaches the caller with its type and message,
+    and no worker outlives the call.  Warnings and log records of a
+    worker's share stay in the worker, except the domain-error drop
+    counts, which ``_rep_profile`` returns."""
     if w == 1:
         return _score(evaluator, reps, dim, cfg)
     # imported here: importing the pool would cost every import of xdiff
@@ -383,9 +427,10 @@ def _profiles(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectCo
     return results
 
 
-def _profile_pass(model, data: Dataset, cfg: DetectConfig):
-    """Score every configured representative once, on every CPU where it
-    can (see ``_profiles``).  Returns the representatives in canonical
+def _profile_pass(model, data: Dataset, cfg: DetectConfig, *, split: bool = True):
+    """Score every configured representative once, on as many processes
+    as ``_share_count`` gives for their estimated work (see ``_profiles``),
+    or on one unless ``split``.  Returns the representatives in canonical
     order, their raw values by order, and the top-k parents each one
     extended at orders beyond full_order.  Domain errors are warned of
     here, in representative order, whichever process met them."""
@@ -399,7 +444,8 @@ def _profile_pass(model, data: Dataset, cfg: DetectConfig):
             raise ValueError("normalize the dataset before detecting on a trained model")
     evaluator = _make_evaluator(model, cfg.task, cfg.class_index, cfg.use_logit)
     reps = representative_samples(data, cfg.representatives, cfg.seed)
-    results = _profiles(evaluator, reps, data.dim, cfg)
+    w = _share_count(len(reps), len(reps) * _lattice_cells(model, data.dim, cfg)) if split else 1
+    results = _profiles(evaluator, reps, data.dim, cfg, w)
     for _, _, dropped in results:
         for n in dropped:
             _warn_dropped(n)
@@ -473,10 +519,12 @@ def aggregation_sweep(
 
     Each representative's candidate schedule depends only on its own
     local values, so all six profiles are computed once and the 315
-    combinations just re-aggregate them.
+    combinations just re-aggregate them.  The profiles are scored in one
+    process: the re-aggregation is nine tenths of a default sweep, and
+    after a split pass it ran slower by more than the split saved.
     """
     base = replace(cfg, representatives=REPRESENTATIVE_LABELS)
-    reps, profiles, parents = _profile_pass(model, data, base)
+    reps, profiles, parents = _profile_pass(model, data, base, split=False)
     rows = []
     for mask in range(1, 1 << len(REPRESENTATIVE_LABELS)):
         labels = tuple(

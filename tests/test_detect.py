@@ -4,7 +4,6 @@ import subprocess
 import sys
 import threading
 import warnings
-from dataclasses import replace
 from itertools import combinations
 from pathlib import Path
 
@@ -537,7 +536,7 @@ def test_package_attribute_detect_is_the_module():
 
 def _force_shares(monkeypatch, w):
     """Score on w processes whatever the CPU count."""
-    monkeypatch.setattr(detect_mod, "_share_count", lambda jobs: min(jobs, w))
+    monkeypatch.setattr(detect_mod, "_share_count", lambda jobs, cells: min(jobs, w))
 
 
 def _ranking_bytes(ranking):
@@ -566,23 +565,73 @@ def _child_pids():
     return pids
 
 
-def test_share_count_is_one_for_one_job_or_beside_another_thread():
-    assert detect_mod._share_count(1) == 1
-    assert 1 <= detect_mod._share_count(6) <= 6
+def test_share_count_is_one_for_one_job_or_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    lots = 10 * detect_mod.SHARE_MIN_CELLS
+    assert detect_mod._share_count(1, lots) == 1
+    assert detect_mod._share_count(6, lots) == 2
     stop = threading.Event()
     other = threading.Thread(target=stop.wait)
     other.start()
     try:
-        assert detect_mod._share_count(6) == 1
+        assert detect_mod._share_count(6, lots) == 1
     finally:
         stop.set()
         other.join()
 
 
+def test_share_count_gives_each_process_its_least_work(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    least = detect_mod.SHARE_MIN_CELLS
+    assert [detect_mod._share_count(6, k * least - 1) for k in range(1, 9)] == [1, 1, 2, 3, 4, 5, 6, 6]
+    assert detect_mod._share_count(6, 0) == 1
+
+
+def test_lattice_cells_bound_the_candidates_of_each_order():
+    """Per order t: C(10, 2) pairs, then at most top_k * (11 - t)
+    extensions, each 2^t cells wide, times the sum of the layer widths
+    (an Mlp) or the inputs (a callable)."""
+    per_width = 45 * 4 + 80 * 8 + 70 * 16 + 60 * 32 + 50 * 64 + 40 * 128
+    default = init_mlp(MlpConfig(input_dim=10, seed=0))
+    cfg = DetectConfig(max_order=7)
+    assert detect_mod._lattice_cells(default, 10, cfg) == per_width * (140 + 100 + 60 + 20 + 1)
+    assert detect_mod._lattice_cells(lambda z: z[0], 10, cfg) == per_width * 10
+    # exhaustive to order 3, and no subsets at all beyond the dimension
+    small = DetectConfig(max_order=5, full_order=3, top_k=2)
+    assert detect_mod._lattice_cells(lambda z: z[0], 4, small) == (6 * 4 + 4 * 8 + 1 * 16) * 4
+    # the default 4-representative detect forks at max order 4, not at 3
+    two = 2 * detect_mod.SHARE_MIN_CELLS
+    assert 4 * detect_mod._lattice_cells(default, 10, DetectConfig(max_order=3)) < two
+    assert 4 * detect_mod._lattice_cells(default, 10, DetectConfig(max_order=4)) >= two
+
+
+def _detect_in_pool_worker(cfg):
+    model, data = _random_setup()
+    return detect_mod._share_count(4, 2), _ranking_bytes(detect(model, data, cfg))
+
+
+def test_detect_in_a_pool_worker_scores_in_that_worker(monkeypatch):
+    """A daemonic multiprocessing.Pool worker may not start children:
+    detect there scores in one process, with the bytes of the caller's
+    detect, though two CPUs and enough work for both are on offer."""
+    import multiprocessing
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(detect_mod, "SHARE_MIN_CELLS", 1)
+    assert detect_mod._share_count(4, 2) == 2
+    cfg = DetectConfig(max_order=3)
+    model, data = _random_setup()
+    want = _ranking_bytes(detect(model, data, cfg))
+    with multiprocessing.get_context("fork").Pool(1) as pool:
+        shares, got = pool.apply(_detect_in_pool_worker, (cfg,))
+    assert shares == 1
+    assert got == want
+
+
 def test_scores_on_two_processes_have_the_bytes_of_one(monkeypatch):
-    """per_representative, orders and top parents of detect, and the
-    aggregation_sweep rows, for a regression net, a softmax classifier and
-    a callable, are the same bit for bit on one process and on two."""
+    """per_representative, orders and top parents of detect, for a
+    regression net, a softmax classifier and a callable, are the same bit
+    for bit on one process and on two."""
     rng = np.random.default_rng(35)
     clf = init_mlp(MlpConfig(input_dim=10, hidden=(12,), output_dim=3, seed=6))
     clf_data = normalize(Dataset(rng.normal(size=(120, 10)), rng.normal(size=(120, 3))))
@@ -591,21 +640,26 @@ def test_scores_on_two_processes_have_the_bytes_of_one(monkeypatch):
         (clf, clf_data, {"task": "classification", "class_index": 2}),
         (lambda z: bm.eval_function("F4", z), bm.sample_dataset("F4", 120, seed=8), {}),
     ]
-
-    def score(ranking):
-        return sum(v for _, v in ranking.orders[2][:5]) + sum(v for _, v in ranking.orders[3][:3])
-
     for model, data, kw in cases:
         cfg = DetectConfig(max_order=4, top_k=3, representatives=REPRESENTATIVE_LABELS, **kw)
         got = []
         for w in (1, 2):
             _force_shares(monkeypatch, w)
-            sweep = aggregation_sweep(model, data, replace(cfg, max_order=3), score)
-            got.append((
-                _ranking_bytes(detect(model, data, cfg)),
-                [(r.label, np.float64(r.score).tobytes()) for r in sweep],
-            ))
+            got.append(_ranking_bytes(detect(model, data, cfg)))
         assert got[0] == got[1]
+
+
+def test_sweep_scores_in_one_process(monkeypatch):
+    """Where detect takes two processes, aggregation_sweep takes one."""
+    _force_shares(monkeypatch, 2)
+    shares = []
+    real = detect_mod._profiles
+    monkeypatch.setattr(detect_mod, "_profiles", lambda *a: shares.append(a[-1]) or real(*a))
+    model, data = _random_setup()
+    cfg = DetectConfig(max_order=3)
+    aggregation_sweep(model, data, cfg, lambda r: 0.0)
+    detect(model, data, cfg)
+    assert shares == [1, 2]
 
 
 def test_domain_errors_in_both_shares_warn_in_representative_order(monkeypatch):
