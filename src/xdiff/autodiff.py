@@ -146,7 +146,7 @@ def lattice_mul(a: np.ndarray, b: np.ndarray, t: int) -> np.ndarray:
 
 
 def lattice_compose(
-    table: "ElementaryTable", g: np.ndarray, t: int, *, overwrite_g: bool = False
+    table: "ElementaryTable", g: np.ndarray, t: int, *, overwrite_g=False, top_only=False
 ) -> np.ndarray:
     """Chain rule: coefficients of table(g) from the coefficients of g.
 
@@ -154,7 +154,8 @@ def lattice_compose(
     j..t-1, at index S >> j.  Its empty slot is f^(j)(g_0); a nonempty S
     whose lowest tag is i sums g[B] * level_{j+1}[S ^ B] over the submasks
     B of S that hold i.  Level t is f^(t)(g_0) alone and level 0 is the
-    result; two levels are alive at a time.
+    result; two levels are alive at a time.  With ``top_only`` level 0
+    is its full-mask sum alone, and the result is zero everywhere else.
 
     g is left as it is unless ``overwrite_g`` is set, which only
     ``mlp.forward_lattice`` does, on a C-contiguous float64 g it drops
@@ -195,8 +196,12 @@ def lattice_compose(
     series = table.series(t, x0[:1] if _rows_equal(x0) else x0)
     deriv = [np.broadcast_to(d, x0.shape) for d in series]
     gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
-    top = _compose_levels(deriv, gt, t, g.reshape(1 << t, -1) if overwrite_g else None)
-    return np.ascontiguousarray(np.moveaxis(top.reshape(g.shape[-1:] + x0.shape), 0, -1))
+    live = np.any(gt != 0.0, axis=1)
+    # mask 0 is never a block B
+    rows = {b: gt[b].copy() for b in (np.flatnonzero(live[1:]) + 1).tolist()}
+    into = g.reshape(1 << t, -1) if overwrite_g else None
+    level = _compose_levels(deriv, rows, _live_chain_pairs(t, live.tobytes()), t, into, top_only)
+    return np.ascontiguousarray(np.moveaxis(level.reshape(g.shape[-1:] + x0.shape), 0, -1))
 
 
 def _rows_equal(x0: np.ndarray) -> bool:
@@ -208,17 +213,14 @@ def _rows_equal(x0: np.ndarray) -> bool:
     return bool((x0 == first).all() and (np.signbit(x0) == np.signbit(first)).all())
 
 
-def _compose_levels(deriv: list, gt: np.ndarray, t: int, top=None) -> np.ndarray:
-    """lattice_compose's levels t..0 on the subset-first view gt of g,
-    from the series f^(j)(g_0) shaped like g_0; returns level 0, so the
-    row copies are freed before the caller's transposing copy.  Level 0
-    is written into ``top`` when given, a (2^t, n) array that may share
-    gt's memory: gt is read only before level 0 is begun."""
-    n = gt.shape[1]
-    live = np.any(gt != 0.0, axis=1)
-    chain = _live_chain_pairs(t, live.tobytes())
-    masks = np.flatnonzero(live[1:]) + 1  # mask 0 is never a block B
-    rows = {b: gt[b].copy() for b in masks.tolist()}
+def _compose_levels(deriv: list, rows: dict, chain, t: int, top=None, top_only=False):
+    """lattice_compose's levels t..0 from the series f^(j)(g_0), each
+    shaped like g_0, and ``rows``, a contiguous copy of g[..., B] for each
+    block B of ``chain`` (a ``_live_chain_pairs``); it empties ``rows``.
+    Returns level 0 (with ``top_only`` its full-mask sum and zeros),
+    written into ``top`` when given, a (2^t, n) array that may share the
+    rows' source."""
+    n = deriv[0].size
     tmp = np.empty(n)
     below = None
     for j in range(t, -1, -1):
@@ -226,8 +228,13 @@ def _compose_levels(deriv: list, gt: np.ndarray, t: int, top=None) -> np.ndarray
             level = np.empty((1 << (t - j), n), dtype=np.float64)
         else:
             level = top
-        level[0].reshape(deriv[j].shape)[...] = deriv[j]
-        for acc, pairs in zip(level[1:], chain[j]):
+        if j == 0 and top_only:
+            level[:-1] = 0.0
+            sums = zip(level[-1:], chain[0][-1:])
+        else:
+            level[0].reshape(deriv[j].shape)[...] = deriv[j]
+            sums = zip(level[1:], chain[j])
+        for acc, pairs in sums:
             if not pairs:
                 acc[:] = 0.0
                 continue
@@ -237,6 +244,7 @@ def _compose_levels(deriv: list, gt: np.ndarray, t: int, top=None) -> np.ndarray
                 np.multiply(rows[b], below[r], out=tmp)
                 acc += tmp
         below = level
+    rows.clear()
     # Each sum starts from +0.0, so none is -0.0.  The sign of a zero
     # moves no other value, so setting it on level 0 alone suffices.
     below[1:] += 0.0

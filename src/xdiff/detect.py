@@ -11,13 +11,13 @@ polynomial while anything strong at a lower order keeps its lineage.
 Models can be ``Mlp`` instances or plain callables taking a length-p
 vector, which is how the analytic benchmark functions are plugged in
 directly.  Both are scored the same way: one batched lattice pass per
-order and representative, with one candidate per batch row, seeded and
-evaluated one row chunk at a time.
+order and representative, with one candidate per batch row, run from
+its parts (``forward_lattice``) one row chunk at a time.
 
 Representatives are independent jobs, scored on Linux on up to every
-CPU the process may use: the caller scores one round-robin share, forked
-workers one other share each, and each process gets at least
-SHARE_MIN_CELLS of the estimated work.  A job is the same call on the
+CPU the process may use: the caller scores one round-robin share,
+workers forked by bare ``os.fork`` one other share each, and each
+process gets at least SHARE_MIN_CELLS of the estimated work.  A job is the same call on the
 same inputs in any process, with OpenBLAS on one thread, so the bytes do
 not depend on the worker count.  With one representative, less work
 than two shares' worth, another thread running, inside a multiprocessing
@@ -29,6 +29,8 @@ from __future__ import annotations
 
 import logging
 import os
+import pickle
+import signal
 import sys
 import threading
 import warnings
@@ -40,7 +42,7 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import MAX_TAGS, DomainError
-from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, row_chunks, softmax_lattice
+from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, softmax_lattice
 
 log = logging.getLogger(__name__)
 
@@ -184,27 +186,15 @@ def representative_samples(data: Dataset, labels: Sequence[str], seed: int) -> l
     return out
 
 
-def _seed_candidates(row: np.ndarray, tags: np.ndarray, t: int) -> np.ndarray:
-    """The lattice input of candidates ``tags`` (one per row) at ``row``:
-    every input's value slot holds row, and tag i is a unit direction on
-    variable tags[b, i]."""
-    arr = np.zeros((len(tags), row.size, 1 << t))
-    arr[:, :, 0] = row
-    arr[np.arange(len(tags))[:, None], tags, 1 << np.arange(t)] = 1.0
-    return arr
-
-
 def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     """Check the model against the task and return scores(row, order,
     candidates), which scores every same-order candidate at a row in one
-    batched lattice pass: row b of the batch carries candidate b's tags.
-
-    The pass is streamed: the seeded input is built and evaluated one
-    ``mlp.row_chunks`` chunk at a time, for callables too, so its memory
-    is one chunk's whatever the candidate count, and the scores have the
-    bytes of the whole batch (see ``forward_lattice``).  A domain error
-    from any chunk, which a callable raises from the row's value slot that
-    every candidate shares, drops all of that row's candidates.
+    ``forward_lattice`` pass: row b carries candidate b's tags, each a
+    unit direction on one variable.  Its memory is one row chunk's
+    whatever the candidate count.  A raw output (regression, or
+    ``use_logit``) takes the full-mask coefficient alone; softmax needs
+    every slot.  A domain error, which a callable raises from the row's
+    value slot that every candidate shares, drops all of them.
 
     scores returns (values, dropped count) and warns of nothing, since it
     may run in a forked worker: the caller warns (``_warn_dropped``)."""
@@ -217,19 +207,18 @@ def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
         raise TypeError(f"model must be an Mlp or a callable, got {type(model).__name__}")
     elif task == "classification":
         raise ValueError("a callable model returns one scalar; use task='regression'")
+    column = class_index if task == "classification" else 0
+    top_only = task == "regression" or use_logit
 
     def scores(row: np.ndarray, order: int, candidates: Sequence[tuple[int, ...]]):
         if not candidates:
             return {}, 0
-        tags = np.asarray(candidates)
-        column = class_index if task == "classification" else 0
-        full = np.empty(len(tags))
         try:
-            for lo, hi in row_chunks(model, len(tags), row.size, order):
-                out = forward_lattice(model, _seed_candidates(row, tags[lo:hi], order), order)
-                if task == "classification" and not use_logit:
-                    out = softmax_lattice(out, order)
-                full[lo:hi] = out[:, column, -1]
+            out = forward_lattice(
+                model, np.asarray(candidates), order, value=row, bank=np.eye(row.size),
+                top_only=top_only,
+            )
+            full = out[:, column] if top_only else softmax_lattice(out, order)[:, column, -1]
         except DomainError:
             return {}, len(candidates)
         return {cand: float(full[b]) for b, cand in enumerate(candidates)}, 0
@@ -331,21 +320,11 @@ def _aggregate(
     return orders
 
 
-# In a forked worker, the job its parent forked it with: (evaluator,
-# shares, dim, cfg).  A fork hands it over unpickled, closures and all.
-_JOB = None
-
-
-def _adopt_job(*job) -> None:
-    global _JOB
-    _JOB = job
-
-
 # The least estimated work (``_lattice_cells``) worth a process of its
-# own.  A split costs about 30 ms over its shares on 2 cores at 70 MB RSS:
-# a fork, first writes to inherited pages, the uneven shares.  Measured
-# there, a split slowed every detect of up to 1.5M cells (45 ms in one
-# process) and sped up every one from 2.4M cells (70-95 ms).
+# own.  A split costs 10-35 ms over its shares on 2 cores at 70 MB RSS: a
+# fork, first writes to inherited pages, the uneven shares.  Measured
+# there, it slowed every network's detect of up to 1.05M cells; from 2.4M
+# cells one input won in one run and lost in the next (a shared host).
 SHARE_MIN_CELLS = 1 << 20
 
 
@@ -389,42 +368,71 @@ def _share_count(jobs: int, cells: int) -> int:
     return max(1, min(jobs, len(os.sched_getaffinity(0)), cells // SHARE_MIN_CELLS))
 
 
-def _score(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig) -> list:
-    return [_rep_profile(evaluator, rep, dim, cfg) for rep in reps]
-
-
-def _score_forked_share(i: int) -> list:
-    evaluator, shares, dim, cfg = _JOB
-    return _score(evaluator, shares[i], dim, cfg)
-
-
 def _profiles(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig, w: int) -> list:
     """``_rep_profile`` of every representative, in their order, on w
     processes: representative i is in share i mod w, the caller scores
-    share 0 and w - 1 forked workers score one other share each.  An
-    exception in a worker reaches the caller with its type and message,
-    and no worker outlives the call.  Warnings and log records of a
-    worker's share stay in the worker, except the domain-error drop
-    counts, which ``_rep_profile`` returns."""
-    if w == 1:
-        return _score(evaluator, reps, dim, cfg)
-    # imported here: importing the pool would cost every import of xdiff
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
+    share 0, and w - 1 workers, each forked by a bare ``os.fork`` with
+    one pipe, score one other share each.  A worker's exception reaches
+    the caller with its type and message (as a RuntimeError naming both
+    if it does not survive a pickle round trip); a worker that ends
+    without its share raises a RuntimeError.  No worker outlives the
+    call.  A worker's warnings and log records stay in it, except the
+    domain-error drop counts, which ``_rep_profile`` returns."""
     shares = [reps[i::w] for i in range(w)]
-    with ProcessPoolExecutor(
-        w - 1, mp_context=multiprocessing.get_context("fork"),
-        initializer=_adopt_job, initargs=(evaluator, shares, dim, cfg),
-    ) as pool:
-        # a fork-context pool forks its workers at the first submit, before
-        # it starts a thread of its own
-        futures = [pool.submit(_score_forked_share, i) for i in range(1, w)]
-        done = [_score(evaluator, shares[0], dim, cfg), *(f.result() for f in futures)]
+    workers = []
+    try:
+        for share in shares[1:]:
+            fd_r, fd_w = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                os.close(fd_r)
+                _score_in_worker(fd_w, evaluator, share, dim, cfg)
+            os.close(fd_w)
+            workers.append((pid, os.fdopen(fd_r, "rb")))
+        done = [[_rep_profile(evaluator, rep, dim, cfg) for rep in shares[0]]]
+        while workers:
+            pid, pipe = workers[0]
+            msg = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            del workers[0]
+            pipe.close()
+            if code or not msg:  # a negative code is the signal that ended it
+                raise RuntimeError(f"a detect worker ended with code {code} before returning its share")
+            ok, payload = pickle.loads(msg)
+            if not ok:
+                raise payload
+            done.append(payload)
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
     results = [None] * len(reps)
     for i, share in enumerate(done):
         results[i::w] = share
     return results
+
+
+def _score_in_worker(fd: int, evaluator, share, dim: int, cfg: DetectConfig) -> None:
+    """A forked worker's whole life: score ``share``, write (True,
+    profiles) or (False, exception) to ``fd`` pickled, and exit, running
+    none of the caller's cleanup."""
+    status = 1
+    try:
+        try:
+            msg = pickle.dumps((True, [_rep_profile(evaluator, r, dim, cfg) for r in share]))
+        except BaseException as e:
+            try:
+                msg = pickle.dumps((False, e))
+                pickle.loads(msg)
+            except Exception:
+                err = RuntimeError(f"{type(e).__name__}: {e} (the worker's exception did not pickle)")
+                msg = pickle.dumps((False, err))
+        with os.fdopen(fd, "wb") as pipe:
+            pipe.write(msg)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _profile_pass(model, data: Dataset, cfg: DetectConfig, *, split: bool = True):

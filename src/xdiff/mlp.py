@@ -13,10 +13,10 @@ setter it does not find) it warns once, and the weights then depend on
 the thread count.
 
 ``forward`` evaluates plain arrays.  ``forward_lattice`` pushes a batch
-of subset-lattice coefficients through the same affine and activation
+of seeded subset-lattice rows through the same affine and activation
 stack, so any mixed partial derivative of the trained network is
-available exactly; it is the one route from lattice coefficients into a
-model, and it hands a callable model to ``autodiff.lattice_call``.
+available exactly; it is the one route from seeded rows into a model,
+and it hands a callable model to ``autodiff.lattice_call``.
 GELU uses the exact erf form, never the tanh approximation.  The plain
 pass, the lattice pass and training's backward pass all read the
 activation from one derivative table in ``autodiff`` (for GELU a closed
@@ -58,6 +58,8 @@ from .autodiff import (
     RECIPROCAL,
     CapacityError,
     ElementaryTable,
+    _compose_levels,
+    _live_chain_pairs,
     lattice_call,
     lattice_compose,
     lattice_mul,
@@ -355,70 +357,95 @@ def row_chunks(model, rows: int, inputs: int, t: int) -> list[tuple[int, int]]:
     """The even (lo, hi) row chunks of a lattice pass of ``rows`` rows of
     ``inputs`` inputs each at t tags; a small batch is one chunk.
 
-    With W the widest of the input and, for an ``Mlp``, its layers, and
-    F = max(1, floor(CHUNK_BYTES / (W * 2^t * 8))) the rows that fit in
-    CHUNK_BYTES, there are min(ceil(rows / F), floor(rows * W /
-    CHUNK_MIN_COLUMNS)) chunks, and at least one.  CHUNK_BYTES (1 MiB)
-    keeps each coefficient array of a chunk, its seeded input included,
-    within a 2 MiB L2 cache, and bounds a pass's peak memory by the chunk
-    rather than the batch.  CHUNK_MIN_COLUMNS keeps at least 8192 columns
-    (rows times width) in each chunk, so numpy's ~1 us per call stays
-    small against the work of each elementwise call.  A chunk given back
-    to this rule is one chunk, so ``forward_lattice`` runs a caller's
-    chunk whole.
+    With W the widest of an ``Mlp``'s layers, or the input count for a
+    callable or an ``Mlp`` without hidden layers (their chunks are seeded
+    densely), and F = max(1, floor(CHUNK_BYTES / (W * 2^t * 8))) the rows
+    that fit in CHUNK_BYTES, there are min(ceil(rows / F), floor(rows * W
+    / CHUNK_MIN_COLUMNS)) chunks, and at least one.  CHUNK_BYTES (1 MiB)
+    keeps each coefficient array of a chunk within a 2 MiB L2 cache, and
+    bounds a pass's peak memory by the chunk rather than the batch.
+    CHUNK_MIN_COLUMNS keeps at least 8192 columns (rows times width) in
+    each chunk, so numpy's ~1 us per call stays small against the work of
+    each elementwise call.  A chunk given back to this rule is one chunk.
     """
     width = inputs
-    if isinstance(model, Mlp):
-        width = max(width, *model.config.hidden, model.config.output_dim)
+    if isinstance(model, Mlp) and model.config.hidden:
+        width = max(*model.config.hidden, model.config.output_dim)
     fit = max(1, CHUNK_BYTES // (width << (t + 3)))
     n = max(1, min(-(-rows // fit), rows * width // CHUNK_MIN_COLUMNS))
     return [(rows * c // n, rows * (c + 1) // n) for c in range(n)]
 
 
-def forward_lattice(model, arr: np.ndarray, t: int) -> np.ndarray:
-    """Push a batch of lattice coefficients through a model.
+def forward_lattice(model, tags: np.ndarray, t: int, *, value, bank, top_only=False) -> np.ndarray:
+    """Push a batch of seeded lattice rows, given by their parts, through
+    a model: every row's value slot holds ``value`` (one entry per input),
+    row r's tag i runs along ``bank[:, tags[r, i]]``, a column of the
+    (inputs, m) ``bank``, and every other coefficient is zero.  An
+    ``Mlp`` returns shape (rows, output_dim, 2^t), whose entry [..., 0]
+    is the plain forward pass up to the summation order of the affine
+    maps; a callable gets each row chunk's dense input (``lattice_call``)
+    and gives (rows, 1, 2^t).  ``top_only`` returns the full-mask
+    coefficient alone, (rows, output_dim).
 
-    ``arr`` has shape (batch, inputs, 2^t).  An ``Mlp`` returns shape
-    (batch, output_dim, 2^t), whose entry [..., 0] is the plain forward
-    pass up to the summation order of the affine maps.  Any other
-    callable goes through ``lattice_call``, giving (batch, 1, 2^t).
-
-    An ``Mlp`` takes its batch in the row chunks of ``row_chunks``, each
-    written into one result array.  No layer-sized array outlives its
-    last reader: a layer's input is dropped once its pre-activation z is
-    formed, and lattice_compose writes its level 0 into z's buffer
-    (``overwrite_g``).  So a dense layer holds 2.5 layer arrays at the
-    peak (z's live rows, copied subset-first, and two chain-rule levels)
-    and 2 while it transposes level 0 into the layer's output.  detect,
-    whose batch can be too large to seed whole, builds and passes it one
-    ``row_chunks`` chunk at a time.
-
-    Chunking leaves every finite result's bytes as they are.  np.matmul
-    runs one product per batch row, and lattice_compose works column by
-    column.  A chunk's live blocks are a subset of the batch's: the
-    blocks it drops add +-0 * x terms, and lattice_compose's final
-    +0.0 clears the sign of a zero, so no byte moves (the GELU and ReLU
-    derivatives are always finite).  A batch whose rows share one value
-    slot shares it within each chunk too, so each chunk still takes the
-    derivative series once.
+    An ``Mlp``'s first layer takes the value and bank columns through
+    one gemm with W0 in the per-row (fan_out, inputs) @ (inputs, 2^t)
+    shape, whose columns do not depend on their position or on the other
+    columns, and each row chunk's chain rule gathers them by tag.  A
+    later layer's input is dropped once its z is formed, and
+    lattice_compose writes level 0 into z (``overwrite_g``).  With
+    ``top_only`` the last hidden layer sums level 0's full mask alone,
+    and the output gemm keeps its (out, width) @ (width, 2^t) shape.
+    Chunks move no finite result's bytes: the live blocks a chunk drops
+    add +-0 * x terms, and lattice_compose's final +0.0 clears the sign
+    of a zero.
     """
-    if not isinstance(model, Mlp):
-        return lattice_call(model, arr, t)[:, None, :]
-    table = activation_table(model.config)
-    last = len(model.weights) - 1
-    out = np.empty((len(arr), model.config.output_dim, 1 << t))
-    for lo, hi in row_chunks(model, len(arr), arr.shape[1], t):
-        h = arr[lo:hi]
-        for i, (w, b) in enumerate(zip(model.weights, model.biases)):
-            z = np.matmul(w, h)
+    tags = np.asarray(tags, dtype=np.intp)
+    isnet = isinstance(model, Mlp)
+    out = np.empty((len(tags), model.config.output_dim if isnet else 1, 1 << t))
+    if isnet:
+        table, last = activation_table(model.config), len(model.weights) - 1
+        # the value and bank columns through one gemm with W0, 2^t to a block
+        k, fan, c = 1 << t, len(model.biases[0]), np.arange(1, 1 + bank.shape[1])
+        blocks = np.zeros((len(c) // k + 1, value.size, k))
+        blocks[0, :, 0] = value
+        blocks[c // k, :, c % k] = bank.T
+        cols = np.matmul(model.weights[0], blocks).transpose(0, 2, 1).reshape(-1, fan)
+        del blocks
+        z0, dirs = cols[0] + model.biases[0], cols[1 : len(c) + 1]
+        table.check(z0)
+        series = table.series(t, z0[None])
+        # the live blocks of the first layer's chain rule: the single tags {i}
+        chain = _live_chain_pairs(t, bytes(int(m & (m - 1) == 0) for m in range(1 << t)))
+    for lo, hi in row_chunks(model, len(tags), value.size, t):
+        if not isnet:
+            out[lo:hi, 0] = lattice_call(model, _seeded(value, bank, tags[lo:hi], t), t)
+            continue
+        if last == 0:  # no hidden layer: the output layer takes the seeded input
+            h = _seeded(value, bank, tags[lo:hi], t)
+        else:
+            deriv = [np.broadcast_to(d, (hi - lo, fan)) for d in series]
+            rows = {1 << i: dirs[tags[lo:hi, i]].ravel() for i in range(t)}
+            h = _compose_levels(deriv, rows, chain, t, top_only=top_only and last == 1)
+            h = np.ascontiguousarray(np.moveaxis(h.reshape(1 << t, hi - lo, fan), 0, -1))
+        for i in range(min(1, last), last + 1):
+            z = np.matmul(model.weights[i], h)
             del h
-            z[..., 0] += b
+            z[..., 0] += model.biases[i]
             # looked up in this module at call time, so a patched or traced
-            # lattice_compose sees every chain rule
-            h = z if i == last else lattice_compose(table, z, t, overwrite_g=True)
+            # lattice_compose sees every dense chain rule
+            top = top_only and i == last - 1
+            h = z if i == last else lattice_compose(table, z, t, overwrite_g=True, top_only=top)
             del z
         out[lo:hi] = h
-    return out
+    return out[..., -1] if top_only else out
+
+
+def _seeded(value: np.ndarray, bank: np.ndarray, tags: np.ndarray, t: int) -> np.ndarray:
+    """The dense (rows, inputs, 2^t) input of the seeded rows ``tags``."""
+    arr = np.zeros((len(tags), value.size, 1 << t))
+    arr[..., 0] = value
+    arr[..., 1 << np.arange(t)] = bank[:, tags].transpose(1, 0, 2)
+    return arr
 
 
 def forward(model: Mlp, x):

@@ -142,12 +142,10 @@ def _index_sets(n: int, order: int):
 
 def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool) -> np.ndarray:
     """Directed salience value for each index tuple, in the given order,
-    from one batched lattice pass with one tuple per batch row.  The
-    seeded input is built whole; forward_lattice runs it in row chunks.
-    Seeded chunk by chunk, each chunk's heap was handed back to the OS
-    and faulted in again (glibc trims above twice the largest block it
-    has unmapped, which the whole input sets): an order-4 tensor on a
-    9x4 grid took about 1,200 more page faults and 12 % longer."""
+    from the full-mask coefficients of one ``forward_lattice`` pass with
+    one tuple per row: the grid is the value row, and the bank holds tag
+    0's direction for each vector i (x_i on vector i alone, or on every
+    vector slot), then each vector's all-ones direction."""
     if not tuples:
         return np.zeros(0)
     n, d = grid.x.shape
@@ -159,21 +157,19 @@ def _evaluate_tuples(model, grid: FeatureGrid, tuples, order: int, local_k: bool
     else:
         grid_fn = model
         model = lambda xs: grid_fn([xs[v * d : (v + 1) * d] for v in range(n)])
-    k = 1 << order
-    tups = np.asarray(tuples)
-    rows = np.arange(len(tups))
-    arr = np.zeros((len(tups), n, d, k))
-    arr[..., 0] = grid.x
-    # tag 0 runs along x_i's coordinates, on vector i alone or on every vector
+    v = np.arange(n)
+    bank = np.zeros((n, d, 2 * n))
     if local_k:
-        arr[rows, tups[:, 0], :, 1] = grid.x[tups[:, 0]]
+        bank[v, :, v] = grid.x
     else:
-        arr[..., 1] = grid.x[tups[:, 0]][:, None, :]
-    # each further tag runs along all of one vector's coordinates
-    for t in range(1, order):
-        arr[rows, tups[:, t], :, 1 << t] = 1.0
-    out = forward_lattice(model, arr.reshape(len(tups), n * d, k), order)
-    return out[:, 0, k - 1]
+        bank[:, :, :n] = grid.x.T
+    bank[v, :, n + v] = 1.0
+    tags = np.array(tuples)
+    tags[:, 1:] += n  # each further tag runs along all of one vector's coordinates
+    out = forward_lattice(
+        model, tags, order, value=grid.x.ravel(), bank=bank.reshape(n * d, 2 * n), top_only=True
+    )
+    return out[:, 0]
 
 
 def grad_cam(model, grid: FeatureGrid, i: int, opts: CamOptions = CamOptions()) -> float:

@@ -23,6 +23,8 @@ from xdiff.autodiff import (
 from xdiff.benchmarks import FUNCTION_IDS, eval_function, sample_dataset
 from xdiff.detect import local_ies
 
+from dense_lattice import dense_pass, detect_seeds, salience_seeds
+
 
 # --- elementary derivative tables, each checked against differencing its
 # own previous order (independent of the lattice machinery)
@@ -622,51 +624,59 @@ def test_lattice_compose_peak_memory_is_bounded_by_its_result(shape, t, make, tr
     assert peak <= 3.0 * g.nbytes, f"peak {peak / g.nbytes:.2f}x the result"
 
 
-def _detect_seeds(row, candidates, t):
-    arr = np.zeros((len(candidates), row.size, 1 << t))
-    arr[..., 0] = row
-    tags = np.asarray(candidates)
-    arr[np.arange(len(tags))[:, None], tags, 1 << np.arange(t)] = 1.0
-    return arr
-
-
-def _salience_seeds(x, tuples, t, local):
-    tups = np.asarray(tuples)
-    rows = np.arange(len(tups))
-    arr = np.zeros((len(tups),) + x.shape + (1 << t,))
-    arr[..., 0] = x
-    if local:
-        arr[rows, tups[:, 0], :, 1] = x[tups[:, 0]]
-    else:
-        arr[..., 1] = x[tups[:, 0]][:, None, :]
-    for tag in range(1, t):
-        arr[rows, tups[:, tag], :, 1 << tag] = 1.0
-    return arr.reshape(len(tups), -1, 1 << t)
+def _salience_parts(x, tuples, local):
+    """The parts of salience_seeds(x, tuples, t, local) for forward_lattice:
+    the value row, a bank holding tag 0's direction of each vector and
+    then the all-ones direction of each vector, and each row's tags."""
+    n, d = x.shape
+    bank = np.zeros((n, d, 2 * n))
+    for v in range(n):
+        if local:
+            bank[v, :, v] = x[v]
+        else:
+            bank[:, :, v] = x[v]
+        bank[v, :, n + v] = 1.0
+    tags = np.array(tuples)
+    tags[:, 1:] += n
+    return {"value": x.ravel(), "bank": bank.reshape(n * d, 2 * n)}, tags
 
 
 def test_forward_lattice_matches_full_recurrence(monkeypatch):
+    """forward_lattice, run from the parts of a seeded batch, has the
+    bytes of the dense seeded pass (its full-mask coefficient alone too,
+    with top_only) and equals that pass with the full recurrence in every
+    chain rule; each row alone has the bytes of its row in a batch of
+    several row chunks."""
     rng = np.random.default_rng(16)
     x = rng.normal(size=(4, 2))
     net = mlp.init_mlp(mlp.MlpConfig(input_dim=x.size, hidden=(9, 7, 5), seed=3))
     net = mlp.Mlp(net.weights, [rng.normal(size=b.shape) for b in net.biases], net.config)
-    seeds = []
+    cases = []  # (model, tags, t, parts, the dense seeded input)
+    unit = {"value": x.ravel(), "bank": np.eye(x.size)}
     for t in range(1, 8):
-        candidates = list(itertools.combinations(range(x.size), t))
-        seeds.append((_detect_seeds(x.ravel(), candidates, t), t))
+        candidates = np.array(list(itertools.combinations(range(x.size), t)))
+        cases.append((net, candidates, t, unit, detect_seeds(x.ravel(), candidates, t)))
     for t in range(1, 5):
         tuples = list(itertools.permutations(range(x.shape[0]), t))
-        seeds += [(_salience_seeds(x, tuples, t, local), t) for local in (True, False)]
-    cases = [(net, arr, t) for arr, t in seeds]
+        for local in (True, False):
+            parts, tags = _salience_parts(x, tuples, local)
+            cases.append((net, tags, t, parts, salience_seeds(x, tuples, t, local)))
     # every order-4 tuple of a 9x4 grid through a 36-64-32 net: a batch of
-    # several row chunks; then the same batch with tag 1's block zeroed in
-    # its second half, so that block is live in some chunks, dead in
-    # others, and live but zero in some rows of the chunk that straddles
+    # several row chunks; then the same batch with tag 1 on an all-zero
+    # bank column in its second half, so that block is live in some
+    # chunks, dead in others, and live but zero in some rows of the chunk
+    # that straddles
     grid = rng.normal(size=(9, 4))
     wide = mlp.init_mlp(mlp.MlpConfig(input_dim=grid.size, hidden=(64, 32), seed=4))
-    big = _salience_seeds(grid, list(itertools.permutations(range(9), 4)), 4, True)
+    tuples = list(itertools.permutations(range(9), 4))
+    parts, tags = _salience_parts(grid, tuples, True)
+    big = salience_seeds(grid, tuples, 4, True)
+    zero = {"value": parts["value"], "bank": np.column_stack([parts["bank"], np.zeros(grid.size)])}
+    ztags = tags.copy()
+    ztags[len(tags) // 2 :, 1] = zero["bank"].shape[1] - 1
     partial = big.copy()
     partial[len(big) // 2 :, :, 2] = 0.0
-    cases += [(wide, big, 4), (wide, partial, 4)]
+    cases += [(wide, tags, 4, parts, big), (wide, ztags, 4, zero, partial)]
     chunk_rows = []
 
     def spy(table, g, t, **kwargs):
@@ -674,15 +684,19 @@ def test_forward_lattice_matches_full_recurrence(monkeypatch):
         return lattice_compose(table, g, t, **kwargs)
 
     monkeypatch.setattr(mlp, "lattice_compose", spy)
-    mlp.forward_lattice(wide, big, 4)
-    assert len(chunk_rows) > 2 and sum(chunk_rows) == 2 * len(big)
-    got = [mlp.forward_lattice(model, arr, t) for model, arr, t in cases]
-    for arr, out in zip((big, partial), got[-2:]):
-        for r in range(len(arr)):
-            _assert_same_bytes(out[r : r + 1], mlp.forward_lattice(wide, arr[r : r + 1], 4))
-    monkeypatch.setattr(mlp, "lattice_compose", _compose_full)
-    for (model, arr, t), out in zip(cases, got):
-        np.testing.assert_array_equal(out, mlp.forward_lattice(model, arr, t))
+    mlp.forward_lattice(wide, tags, 4, **parts)
+    # the 64-wide first layer is built from its parts; the 32-wide one
+    # takes one dense chain rule per chunk
+    assert len(chunk_rows) > 2 and sum(chunk_rows) == len(big)
+    got = [mlp.forward_lattice(model, tags, t, **parts) for model, tags, t, parts, _ in cases]
+    for (model, tags, t, parts, arr), out in zip(cases, got):
+        _assert_same_bytes(out, dense_pass(model, arr, t))
+        _assert_same_bytes(mlp.forward_lattice(model, tags, t, top_only=True, **parts), out[..., -1])
+    for (_, tags, _, parts, _), out in zip(cases[-2:], got[-2:]):
+        for r in range(len(tags)):
+            _assert_same_bytes(out[r : r + 1], mlp.forward_lattice(wide, tags[r : r + 1], 4, **parts))
+    for (model, _, t, _, arr), out in zip(cases, got):
+        np.testing.assert_array_equal(out, dense_pass(model, arr, t, _compose_full))
 
 
 # --- a value plus one direction per tag (a first hidden layer's input):

@@ -4,7 +4,7 @@ import subprocess
 import sys
 import threading
 import warnings
-from itertools import combinations
+from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
@@ -39,6 +39,8 @@ from xdiff.mlp import (
     normalize,
     train,
 )
+
+from dense_lattice import dense_pass, detect_seeds, small_chunks
 
 
 def _random_setup(seed=3, n=400):
@@ -240,28 +242,31 @@ def test_callable_domain_error_drops_all_candidates_at_that_representative():
 # --- one order's candidates stream through the lattice pass in row chunks
 
 
-def _small_chunks(monkeypatch, columns):
-    """Cut every lattice pass into chunks of about ``columns`` columns
-    (rows times the widest of the input and the layers)."""
-    monkeypatch.setattr(mlp, "CHUNK_BYTES", 1)
-    monkeypatch.setattr(mlp, "CHUNK_MIN_COLUMNS", columns)
-
-
 def _chunk_rows(monkeypatch):
-    """The row count of every forward_lattice call detect makes."""
-    rows = []
+    """The row count of every chunk of the lattice passes detect makes,
+    and the number of forward_lattice calls it makes."""
+    rows, calls = [], []
+    real_chunks, real_pass = mlp.row_chunks, mlp.forward_lattice
 
-    def spy(model, arr, t):
-        rows.append(len(arr))
-        return mlp.forward_lattice(model, arr, t)
+    def chunks(model, n, inputs, t):
+        out = real_chunks(model, n, inputs, t)
+        rows.extend(hi - lo for lo, hi in out)
+        return out
 
+    def spy(model, tags, t, **parts):
+        calls.append(len(tags))
+        return real_pass(model, tags, t, **parts)
+
+    monkeypatch.setattr(mlp, "row_chunks", chunks)
     monkeypatch.setattr(detect_mod, "forward_lattice", spy)
-    return rows
+    return rows, calls
 
 
 def test_streamed_scores_have_the_bytes_of_one_batch(monkeypatch):
     """Scores from 2-8 row chunks equal those of one whole batch bit for
-    bit, for a regression net, a classifier through softmax and a callable."""
+    bit, for a regression net, a classifier through softmax and a
+    callable; the chunks are cut inside one forward_lattice call per
+    model and order."""
     rng = np.random.default_rng(33)
     net = init_mlp(MlpConfig(input_dim=10, hidden=(16, 8), seed=5))
     clf = init_mlp(MlpConfig(input_dim=10, hidden=(12,), output_dim=3, seed=6))
@@ -274,13 +279,56 @@ def test_streamed_scores_have_the_bytes_of_one_batch(monkeypatch):
         cands = list(combinations(range(10), order))
         want = [local_ies(model, row, order, cands, **kw) for model, kw in cases]
         with monkeypatch.context() as m:
-            _small_chunks(m, 16 * 8)  # eight candidates of the 16-wide net per chunk
-            rows = _chunk_rows(m)
+            small_chunks(m, 16 * 8)  # eight candidates of the 16-wide net per chunk
+            rows, calls = _chunk_rows(m)
             got = [local_ies(model, row, order, cands, **kw) for model, kw in cases]
         assert sum(rows) == 3 * len(cands) and len(rows) > 3 * 2
+        assert calls == [len(cands)] * 3
         for w, g in zip(want, got):
             assert list(g) == list(w) == cands
             assert np.array(list(g.values())).tobytes() == np.array(list(w.values())).tobytes()
+
+
+def _dense_scores(model, row, order, cands, task="regression", class_index=0, use_logit=False):
+    """The scores of the dense seeded pass, read as detect read them."""
+    out = dense_pass(model, detect_seeds(row, cands, order), order)
+    if task == "classification" and not use_logit:
+        out = mlp.softmax_lattice(out, order)
+    return out[:, class_index if task == "classification" else 0, -1]
+
+
+def test_scores_have_the_bytes_of_the_dense_seeded_pass(monkeypatch):
+    """local_ies, whole and cut into row chunks, has the bytes of the
+    dense seeded pass for a regression net, a 3-class classifier through
+    softmax and on a logit, a net whose first layer ignores one input
+    (a dead tag wherever a candidate holds it) or holds a -0.0 weight,
+    and a callable."""
+    rng = np.random.default_rng(38)
+    net = init_mlp(MlpConfig(input_dim=10, hidden=(16, 8), seed=5))
+    net = Mlp(net.weights, [rng.normal(size=b.shape) for b in net.biases], net.config)
+    clf = init_mlp(MlpConfig(input_dim=10, hidden=(12,), output_dim=3, seed=6))
+    dead = init_mlp(MlpConfig(input_dim=10, hidden=(16, 8), seed=7))
+    dead.weights[0][:, 3] = 0.0
+    negzero = init_mlp(MlpConfig(input_dim=10, hidden=(16, 8), seed=8))
+    negzero.weights[0][[2, 5], [4, 6]] = -0.0
+    row = bm.sample_dataset("F4", 1, seed=7).features[0]
+    cases = [
+        (net, {}), (clf, {"task": "classification", "class_index": 2}),
+        (clf, {"task": "classification", "class_index": 1, "use_logit": True}),
+        (dead, {}), (negzero, {}), (lambda z: bm.eval_function("F4", z), {}),
+    ]
+    for order in (2, 3, 4, 7):
+        every = list(combinations(range(10), order))
+        # tag 0 on input 3 in every row: its block is zero in the whole batch
+        on_dead = [c for c in every if c[0] == 3]
+        for (model, kw), cands in product(cases, (every, on_dead)):
+            want = _dense_scores(model, row, order, cands, **kw).tobytes()
+            for columns in (None, 16 * 8):
+                with monkeypatch.context() as m:
+                    if columns:
+                        small_chunks(m, columns)
+                    got = local_ies(model, row, order, cands, **kw)
+                assert np.array(list(got.values())).tobytes() == want, (order, kw, columns)
 
 
 def test_domain_error_in_a_later_chunk_drops_every_candidate_of_the_row(monkeypatch):
@@ -292,7 +340,7 @@ def test_domain_error_in_a_later_chunk_drops_every_candidate_of_the_row(monkeypa
             raise ad.DomainError("log", -1.0, "x > 0")
         return z[0] * z[1]
 
-    _small_chunks(monkeypatch, 10 * 10)  # ten candidates per chunk
+    small_chunks(monkeypatch, 10 * 10)  # ten candidates per chunk
     cands = list(combinations(range(10), 2))
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
@@ -723,18 +771,88 @@ def test_no_worker_process_or_thread_outlives_detect(monkeypatch, raises):
         assert sys.modules["multiprocessing"].active_children() == []
 
 
+class _TwoArgError(Exception):
+    """Pickles, but its unpickling calls __init__ with one argument."""
+
+    def __init__(self, message, extra):
+        super().__init__(message)
+        self.extra = extra
+
+
+def _split_setup(monkeypatch):
+    """Three representatives on two processes: a forked worker scores
+    "min", the row whose first value is below -2."""
+    rng = np.random.default_rng(37)
+    x = rng.uniform(-1.0, 1.0, size=(30, 3))
+    x[4] = [-3.0, -3.0, -3.0]
+    _force_shares(monkeypatch, 2)
+    return Dataset(x, np.zeros((30, 1))), DetectConfig(max_order=3, representatives=("mean", "min", "max"))
+
+
+@pytest.mark.parametrize("end, code", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), 9), -9),  # a signal's number, negated
+])
+def test_a_worker_that_dies_mid_share_raises_a_clear_error(monkeypatch, end, code):
+    caller = os.getpid()
+
+    def fn(z):
+        if z[0].coeffs.flat[0] < -2.0 and os.getpid() != caller:
+            end()
+        return z[0] * z[1] * z[2]
+
+    data, cfg = _split_setup(monkeypatch)
+    children = _child_pids()
+    message = f"a detect worker ended with code {code} before returning its share"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        detect(fn, data, cfg)
+    assert _child_pids() == children
+
+
+def _attribute_that_does_not_pickle():
+    err = ValueError("no value at the minimum")
+    err.hook = lambda: None
+    return err
+
+
+@pytest.mark.parametrize("make, message", [
+    (_attribute_that_does_not_pickle, "ValueError: no value at the minimum"),
+    (lambda: _TwoArgError("no value at the minimum", 2), "_TwoArgError: no value at the minimum"),
+])
+def test_a_worker_exception_that_does_not_pickle_arrives_as_a_clear_error(monkeypatch, make, message):
+    def fn(z):
+        if z[0].coeffs.flat[0] < -2.0:
+            raise make()
+        return z[0] * z[1] * z[2]
+
+    data, cfg = _split_setup(monkeypatch)
+    children = _child_pids()
+    full = f"{message} (the worker's exception did not pickle)"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(full)}$"):
+        detect(fn, data, cfg)
+    assert _child_pids() == children
+
+
 def test_import_leaves_the_process_pool_unloaded():
-    """Importing the pool costs every xdiff import; only detect's split
-    loads it, on first use."""
+    """Importing xdiff loads no process pool, and neither does a detect
+    split in two shares: its worker is a bare fork."""
     src = str(Path(xdiff.__file__).resolve().parent.parent)
     code = (
-        "import sys, xdiff; "
-        "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') "
-        "if m in sys.modules))"
+        "import sys, xdiff\n"
+        "from xdiff import benchmarks as bm, detect as d\n"
+        "def pools():\n"
+        "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+        "pools()\n"
+        "d._share_count = lambda jobs, cells: min(jobs, 2)\n"
+        "cfg = d.DetectConfig(max_order=2, representatives=('mean', 'min'))\n"
+        "ranking = d.detect(lambda z: z[0] * z[1], bm.sample_dataset('F4', 50, seed=0), cfg)\n"
+        "print(len(ranking.orders[2]))\n"
+        "pools()\n"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": src}, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n") == ["[]", "45", "[]", ""]

@@ -152,19 +152,16 @@ def test_forward_batch_matches_single():
         np.testing.assert_allclose(batch[i], forward(model, xs[i]), rtol=1e-12)
 
 
-def _lattice_point(x, i):
-    """One batch row of one-tag lattice coefficients: the point x, with
-    the tag's direction along input i."""
-    arr = np.zeros((1, len(x), 2))
-    arr[0, :, 0] = x
-    arr[0, i, 1] = 1.0
-    return arr
+def _lattice_point(model, x, i):
+    """One batch row of one-tag lattice coefficients through the model:
+    the point x, with the tag's direction along input i."""
+    return forward_lattice(model, [[i]], 1, value=x, bank=np.eye(len(x)))
 
 
 def test_forward_dual_value_slice_is_plain_forward():
     model = init_mlp(MlpConfig(input_dim=4, hidden=(6, 3), seed=5))
     x = np.array([0.2, -0.4, 1.1, 0.7])
-    out = forward_lattice(model, _lattice_point(x, 0), 1)
+    out = _lattice_point(model, x, 0)
     plain = forward(model, x)
     # same math, but the lattice pass sums its affine maps in another order
     assert out[0, 0, 0] == pytest.approx(plain[0], rel=1e-12)
@@ -179,7 +176,7 @@ def test_forward_gradient_matches_fd():
         model = init_mlp(cfg)
         x = rng.uniform(-2, 2, size=4)
         i = int(rng.integers(0, 4))
-        exact = forward_lattice(model, _lattice_point(x, i), 1)[0, 0, 1]
+        exact = _lattice_point(model, x, i)[0, 0, 1]
         xp, xm = x.copy(), x.copy()
         xp[i] += h
         xm[i] -= h
@@ -192,7 +189,7 @@ def test_forward_shape_errors():
     with pytest.raises(ValueError):
         forward(model, np.ones(4))
     with pytest.raises(ValueError):
-        forward_lattice(model, np.zeros((1, 4, 2)), 1)
+        forward_lattice(model, [[0]], 1, value=np.zeros(4), bank=np.eye(4))
 
 
 # --- training
@@ -660,36 +657,36 @@ def test_csv_memory_is_one_block_beside_the_matrix(tmp_path, traced_peak):
 def test_row_chunks_fit_and_a_chunk_given_back_is_one_chunk(width, t):
     """Even, contiguous chunks, each within CHUNK_BYTES unless one row or
     the CHUNK_MIN_COLUMNS floor makes it larger, and a chunk given back
-    is one chunk, so forward_lattice runs a caller's chunk whole (a chunk
-    one row past CHUNK_BYTES would be split in two again)."""
-    model = init_mlp(MlpConfig(input_dim=width, hidden=(64, 32), seed=0))
-    widest = max(width, 64)
-    for rows in range(1, 600):
-        chunks = mlp.row_chunks(model, rows, width, t)
-        sizes = [hi - lo for lo, hi in chunks]
-        assert chunks[0][0] == 0 and chunks[-1][1] == rows
-        assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
-        assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
-        floor = len(chunks) == max(1, rows * widest // mlp.CHUNK_MIN_COLUMNS)
-        assert floor or max(sizes) == 1 or max(sizes) * widest << (t + 3) <= mlp.CHUNK_BYTES
-        assert all(mlp.row_chunks(model, n, width, t) == [(0, n)] for n in set(sizes))
+    is one chunk (a chunk one row past CHUNK_BYTES would be split in two
+    again).  An Mlp's
+    chunks are sized by its layers, a callable's by its seeded input."""
+    net = init_mlp(MlpConfig(input_dim=width, hidden=(64, 32), seed=0))
+    for model, widest in ((net, 64), (lambda z: z[0], width)):
+        for rows in range(1, 600):
+            chunks = mlp.row_chunks(model, rows, width, t)
+            sizes = [hi - lo for lo, hi in chunks]
+            assert chunks[0][0] == 0 and chunks[-1][1] == rows
+            assert all(a[1] == b[0] for a, b in zip(chunks, chunks[1:]))
+            assert max(sizes) - min(sizes) <= 1 and min(sizes) >= 1
+            floor = len(chunks) == max(1, rows * widest // mlp.CHUNK_MIN_COLUMNS)
+            assert floor or max(sizes) == 1 or max(sizes) * widest << (t + 3) <= mlp.CHUNK_BYTES
+            assert all(mlp.row_chunks(model, n, width, t) == [(0, n)] for n in set(sizes))
 
 
 def test_order7_lattice_pass_holds_at_most_2_5_layer_arrays(traced_peak):
     """30 seeded order-7 candidates through the default 10-140-100-60-20-1
-    net, one row chunk: each layer's input dies once its pre-activation z
-    is formed and the chain rule writes its level 0 into z, so a layer
-    holds z's row copies and two levels.  Keeping the layer input and z
-    alive beside them took about 3.5 of the widest (30, 140, 128) arrays."""
+    net, one row chunk: the first layer is built from its parts, and each
+    later layer's input dies once its pre-activation z is formed and the
+    chain rule writes its level 0 into z, so a layer holds z's row copies
+    and two levels.  Keeping the layer input and z alive beside them took
+    about 3.5 of the widest (30, 140, 128) arrays."""
     net = init_mlp(MlpConfig(input_dim=10, seed=0))
     tags = np.array(list(itertools.combinations(range(10), 7))[:30])
-    arr = np.zeros((30, 10, 128))
-    arr[..., 0] = np.random.default_rng(41).normal(size=10)
-    arr[np.arange(30)[:, None], tags, 1 << np.arange(7)] = 1.0
+    parts = {"value": np.random.default_rng(41).normal(size=10), "bank": np.eye(10)}
     assert mlp.row_chunks(net, 30, 10, 7) == [(0, 30)]
-    forward_lattice(net, arr, 7)  # fill the memo of live pairs first
+    forward_lattice(net, tags, 7, **parts)  # fill the memo of live pairs first
     widest = 30 * 140 * 128 * 8
-    peak = traced_peak(forward_lattice, net, arr, 7)
+    peak = traced_peak(forward_lattice, net, tags, 7, **parts)
     assert peak <= 2.5 * widest, f"peak {peak / widest:.2f}x the widest layer array"
 
 

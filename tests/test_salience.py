@@ -22,19 +22,21 @@ from xdiff.salience import (
     top_interactions,
 )
 
+from dense_lattice import dense_pass, salience_seeds, small_chunks
+
 RAW = CamOptions(square=False, symmetrize=False)
 SQUARED = CamOptions(square=True, symmetrize=False)
 
 
 def grid_callable(model):
     """An Mlp as a grid callable: the rows' batched CrossDuals, stacked
-    into lattice coefficients, through ``forward_lattice``."""
+    into lattice coefficients, through the dense lattice pass."""
 
     def fn(rows):
         duals = [v for row in rows for v in row]
         t = duals[0].ntags
         arr = np.stack([v.coeffs for v in duals], axis=1)
-        return CrossDual(t, forward_lattice(model, arr, t)[:, 0, :])
+        return CrossDual(t, dense_pass(model, arr, t)[:, 0, :])
 
     return fn
 
@@ -197,9 +199,9 @@ def test_directed_cells_are_exact_copies_across_orderings(order, zero_diagonal, 
 def test_one_lattice_row_per_vector_and_multiset_of_the_others(monkeypatch):
     seen = []
 
-    def spy(model, arr, t):
-        seen.append(arr.shape[0])
-        return forward_lattice(model, arr, t)
+    def spy(model, tags, t, **parts):
+        seen.append(tags.shape[0])
+        return forward_lattice(model, tags, t, **parts)
 
     monkeypatch.setattr(salience, "forward_lattice", spy)
     (net, _), grid = _cam_models()
@@ -220,6 +222,38 @@ def test_order4_taylor_cam_peak_memory_is_bounded_by_its_row_chunks(traced_peak)
     taylor_cam(net, grid, 4)  # fill the caches of index sets and live pairs first
     peak = traced_peak(taylor_cam, net, grid, 4)
     assert peak <= 8e6, f"peak {peak / 1e6:.2f} MB"
+
+
+@pytest.mark.parametrize("order", [1, 2, 3, 4])
+@pytest.mark.parametrize("local_k", [True, False])
+def test_tuples_have_the_bytes_of_the_dense_seeded_pass(order, local_k, monkeypatch):
+    """Every lattice row of a tensor, whole and cut into row chunks, has
+    the bytes of the dense seeded pass's full-mask coefficient, through
+    two hidden layers and through one."""
+    grid = FeatureGrid(np.random.default_rng(1).normal(size=(9, 4)))
+    tuples, _, _ = salience._cell_schedule(grid.n, order, False)
+    for hidden in ((64, 32), (20,)):
+        net = init_mlp(MlpConfig(input_dim=36, hidden=hidden, seed=0))
+        seeds = salience_seeds(grid.x, tuples, order, local_k)
+        want = dense_pass(net, seeds, order)[:, 0, -1].tobytes()
+        for columns in (None, 4 * hidden[0]):
+            with monkeypatch.context() as m:
+                if columns:
+                    small_chunks(m, columns)
+                got = salience._evaluate_tuples(net, grid, tuples, order, local_k)
+            assert got.tobytes() == want, (hidden, columns)
+
+
+def test_paper_scale_order2_taylor_cam_peak_memory(traced_peak):
+    """Order 2 on a 7x7 grid of 64-channel vectors, 2,352 lattice rows of
+    3,136 inputs through a 64-32 net: about 5.2 MB at the peak, mostly the
+    bank of 98 direction columns and its packed copy.  The dense seeded
+    input it replaced took 236 MB alone (237 MB at the peak)."""
+    net = init_mlp(MlpConfig(input_dim=49 * 64, hidden=(64, 32), seed=0))
+    grid = FeatureGrid(np.random.default_rng(1).normal(size=(49, 64)), (7, 7))
+    taylor_cam(net, grid, 2)  # fill the caches of index sets and live pairs first
+    peak = traced_peak(taylor_cam, net, grid, 2)
+    assert peak <= 7e6, f"peak {peak / 1e6:.2f} MB"
 
 
 def test_order_above_grid_size_gives_a_zero_tensor():
