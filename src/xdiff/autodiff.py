@@ -176,11 +176,11 @@ def lattice_compose(
     infinite (or NaN) the full recurrence's 0 * inf = NaN becomes a
     finite or infinite value.
 
-    The live rows of g are copied once into contiguous arrays (the
-    subset-first view of g is strided), and each S's sum is added up in
-    place in its level row: the first pair's product is written there,
-    and each further product goes through one scratch row and is added,
-    pair by pair in _chain_pairs order, from a +0.0 start (a -0.0
+    The live rows of g are copied by one take into a contiguous array
+    (the subset-first view of g is strided), and each S's sum is added
+    up in place in its level row: the first pair's product is written
+    there, and each further product goes through one scratch row and is
+    added, pair by pair in _chain_pairs order, from a +0.0 start (a -0.0
     coefficient becomes +0.0).  That is the order in which np.sum adds
     the rows of a batch of two or more columns, so there the bytes are
     those of gathering the pairs and calling np.sum.
@@ -197,8 +197,8 @@ def lattice_compose(
     deriv = [np.broadcast_to(d, x0.shape) for d in series]
     gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
     live = np.any(gt != 0.0, axis=1)
-    # mask 0 is never a block B
-    rows = {b: gt[b].copy() for b in (np.flatnonzero(live[1:]) + 1).tolist()}
+    masks = np.flatnonzero(live[1:]) + 1  # mask 0 is never a block B
+    rows = dict(zip(masks.tolist(), gt[masks]))
     into = g.reshape(1 << t, -1) if overwrite_g else None
     level = _compose_levels(deriv, rows, _live_chain_pairs(t, live.tobytes()), t, into, top_only)
     return np.ascontiguousarray(np.moveaxis(level.reshape(g.shape[-1:] + x0.shape), 0, -1))
@@ -239,16 +239,16 @@ def _compose_levels(deriv: list, rows: dict, chain, t: int, top=None, top_only=F
                 acc[:] = 0.0
                 continue
             (b, r), *more = pairs
-            np.multiply(rows[b], below[r], out=acc)
+            np.multiply(rows[b], below[r], acc)
             for b, r in more:
-                np.multiply(rows[b], below[r], out=tmp)
+                np.multiply(rows[b], below[r], tmp)
                 acc += tmp
-        below = level
+        below = list(level)  # row views made once, not once per pair
     rows.clear()
     # Each sum starts from +0.0, so none is -0.0.  The sign of a zero
     # moves no other value, so setting it on level 0 alone suffices.
-    below[1:] += 0.0
-    return below
+    level[1:] += 0.0
+    return level
 
 
 # ---------------------------------------------------------------------------

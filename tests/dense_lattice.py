@@ -58,6 +58,6 @@ def dense_pass(model, arr, t, compose=lattice_compose):
 
 def small_chunks(monkeypatch, columns):
     """Cut every lattice pass into chunks of about ``columns`` columns
-    (rows times the widest of the input and the layers)."""
+    (rows times a network's widest layer, or a callable's input count)."""
     monkeypatch.setattr(mlp, "CHUNK_BYTES", 1)
     monkeypatch.setattr(mlp, "CHUNK_MIN_COLUMNS", columns)

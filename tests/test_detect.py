@@ -792,8 +792,11 @@ def _split_setup(monkeypatch):
 @pytest.mark.parametrize("end, code", [
     (lambda: os._exit(3), 3),
     (lambda: os.kill(os.getpid(), 9), -9),  # a signal's number, negated
-])
+], ids=["exit", "sigkill"])
 def test_a_worker_that_dies_mid_share_raises_a_clear_error(monkeypatch, end, code):
+    """A worker that ends at its representative, by an exit or a kill,
+    without writing its share: detect raises naming its exit code, and
+    no child process is left."""
     caller = os.getpid()
 
     def fn(z):
@@ -818,8 +821,11 @@ def _attribute_that_does_not_pickle():
 @pytest.mark.parametrize("make, message", [
     (_attribute_that_does_not_pickle, "ValueError: no value at the minimum"),
     (lambda: _TwoArgError("no value at the minimum", 2), "_TwoArgError: no value at the minimum"),
-])
+], ids=["pickling-fails", "unpickling-fails"])
 def test_a_worker_exception_that_does_not_pickle_arrives_as_a_clear_error(monkeypatch, make, message):
+    """A worker's exception that fails to pickle, or to unpickle, arrives
+    as a RuntimeError naming its type and message, not as a hang."""
+
     def fn(z):
         if z[0].coeffs.flat[0] < -2.0:
             raise make()
