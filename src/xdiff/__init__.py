@@ -55,7 +55,6 @@ from .evaluate import (  # noqa: E402
     mean_truth_auc,
     pair_scores,
     pairwise_suite,
-    relative_higher_order,
     truth_auc_per_order,
 )
 from .mlp import (  # noqa: E402
@@ -138,7 +137,6 @@ __all__ = [
     "pair_scores",
     "pairwise_suite",
     "pairwise_truth",
-    "relative_higher_order",
     "render_heatmap",
     "representative_samples",
     "sample_dataset",

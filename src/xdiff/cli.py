@@ -8,7 +8,8 @@ byte from (flags, seed); thread count never changes output bytes and is
 therefore left out of the config echo.
 
 Exit codes: 0 success, 1 configuration, domain or any other error, 2 I/O
-error, 130 interrupted.  run.json always ends as ok or error.
+error, 130 interrupted, 143 terminated (SIGTERM).  run.json always ends
+as ok or error.
 """
 
 from __future__ import annotations
@@ -17,7 +18,9 @@ import argparse
 import hashlib
 import logging
 import os
+import signal
 import sys
+import threading
 from dataclasses import fields
 from pathlib import Path
 
@@ -66,6 +69,14 @@ log = logging.getLogger(__name__)
 
 class CliError(Exception):
     """Configuration mistake surfaced to the user; exits with code 1."""
+
+
+class Terminated(KeyboardInterrupt):
+    """SIGTERM, raised in the main thread while a subcommand runs."""
+
+
+def _terminate(signum, frame):
+    raise Terminated
 
 
 class _Parser(argparse.ArgumentParser):
@@ -507,7 +518,18 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 1
     logging.basicConfig(level=getattr(logging, args.log_level.upper()))
+    # signal.signal works from the main thread only
+    on_main = threading.current_thread() is threading.main_thread()
+    previous = signal.signal(signal.SIGTERM, _terminate) if on_main else None
+    try:
+        return _run(args)
+    finally:
+        if on_main:
+            signal.signal(signal.SIGTERM, previous)
 
+
+def _run(args) -> int:
+    """Run the parsed subcommand, finish its run.json and give the exit code."""
     try:
         out_dir = Path(args.out_dir)
         out_dir.mkdir(parents=True, exist_ok=True)
@@ -520,6 +542,7 @@ def main(argv=None) -> int:
         if args.threads < 1:
             raise CliError(f"--threads must be at least 1, got {args.threads}")
         args.func(args, run)
+        run.finish("ok")
     except OSError as e:
         run.finish("error", str(e))
         print(f"error: {e}", file=sys.stderr)
@@ -529,11 +552,11 @@ def main(argv=None) -> int:
         run.finish("error", str(e))
         print(f"error: {e}", file=sys.stderr)
         return 1
-    except KeyboardInterrupt:
-        run.finish("error", "interrupted")
-        print("error: interrupted", file=sys.stderr)
-        return 130
-    run.finish("ok")
+    except KeyboardInterrupt as e:
+        error, code = ("terminated", 143) if isinstance(e, Terminated) else ("interrupted", 130)
+        run.finish("error", error)
+        print(f"error: {error}", file=sys.stderr)
+        return code
     return 0
 
 

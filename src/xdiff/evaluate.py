@@ -3,9 +3,8 @@
 AUC here is the Mann-Whitney form on absolute scores: the probability
 that a uniformly drawn true subset outranks a uniformly drawn false one,
 ties counting half.  The pairwise protocol scores all 45 pairs of the
-ten-variable benchmarks; higher orders only ever see the subsets a
-detector actually scored, so those are compared relatively, over the
-union of what two detectors discovered.
+ten-variable benchmarks; a higher order is scored over the subsets the
+detector scored plus the unscored true ones, which count 0.
 """
 
 from __future__ import annotations
@@ -167,34 +166,3 @@ def mean_truth_auc(ranking: InteractionRanking, truth: bm.GroundTruth) -> float:
     if not per_order:
         raise UndefinedAucError("no order has both a true and a false subset")
     return float(np.mean(list(per_order.values())))
-
-
-def relative_higher_order(
-    rank_a: InteractionRanking,
-    rank_b: InteractionRanking,
-    order: int,
-    truth: bm.GroundTruth,
-    k: int = 10,
-) -> tuple[float, float]:
-    """Compare two detectors at one order the way subsampled rankings
-    allow: positives are the union of both top-k lists restricted to
-    true subsets, and each detector is scored over its own candidates
-    plus the union (unscored members count 0)."""
-    tops = []
-    for r in (rank_a, rank_b):
-        if order not in r.orders:
-            raise ValueError(f"ranking lacks order {order}")
-        tops.append([s for s, _ in r.orders[order][:k]])
-    union = set(tops[0]) | set(tops[1])
-    if not union:
-        raise UndefinedAucError(f"neither ranking scored anything at order {order}")
-    true_sets = set(truth.subsets(order))
-    positives = union & true_sets
-
-    out = []
-    for r in (rank_a, rank_b):
-        scores = {s: v for s, v in r.orders[order]}
-        for s in union:
-            scores.setdefault(s, 0.0)
-        out.append(auc(scores, positives))
-    return out[0], out[1]

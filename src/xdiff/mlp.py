@@ -3,14 +3,12 @@
 The model is a plain affine stack with GELU (or ReLU) hidden activations
 and a linear head, trained by minibatch Adam or SGD with early stopping
 on a validation split.  Everything is seeded, so a given (data, config)
-pair reproduces bit-identical weights.  Training computes each epoch's
-validation loss on one worker thread while the next epoch trains; the
-losses and the kept weights are those of the sequential loop, whenever
-the worker finishes.  The matrix products would sum in another order at
-another OpenBLAS thread count, so importing xdiff pins OpenBLAS to one
-thread (``blas``); where it cannot (numpy loaded first with a BLAS whose
-setter it does not find) it warns once, and the weights then depend on
-the thread count.
+pair reproduces bit-identical weights, whenever training's validation
+thread finishes (see ``train``).  The matrix products would sum in
+another order at another OpenBLAS thread count, so importing xdiff pins
+OpenBLAS to one thread (``blas``); where it cannot (numpy loaded first
+with a BLAS whose setter it does not find) it warns once, and the
+weights then depend on the thread count.
 
 ``forward`` evaluates plain arrays.  ``forward_lattice`` pushes a batch
 of seeded subset-lattice rows through the same affine and activation
@@ -28,11 +26,11 @@ normalization: each feature column is divided by its population standard
 deviation; means are recorded but not subtracted unless centering is
 requested explicitly.  A normalized ``Dataset`` holds the ``Normalizer``
 that scaled it, and a checkpoint stores it.  Every JSON artifact is
-written by ``write_json``, every CSV by ``write_csv``.  ``load_csv`` and
-``save_csv`` stream their rows in fixed blocks, so only one block's cells
-are ever Python objects: a save's memory is one block beside the
-dataset, a load's one block plus the matrix, held twice while its parsed
-blocks are joined.
+written by ``write_json``, every CSV by ``write_csv``, whole or not at
+all (``replacing``).  ``load_csv`` and ``save_csv`` stream their rows in
+fixed blocks, so only one block's cells are ever Python objects: a
+save's memory is one block beside the dataset, a load's one block plus
+the matrix, held twice while its parsed blocks are joined.
 """
 
 from __future__ import annotations
@@ -42,10 +40,11 @@ import itertools
 import json
 import logging
 import math
+import os
 import re
 import warnings
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -188,15 +187,30 @@ def normalize(data: Dataset, center: bool = False) -> Dataset:
 _TARGET_NAME = re.compile(r"^y\d*$")
 
 
+@contextmanager
+def replacing(path):
+    """A UTF-8 text file written beside ``path`` and moved onto it when
+    the block ends, or removed if it raises: ``path`` is never partial."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
 def write_json(path, doc) -> None:
     """Write ``doc`` as key-sorted, 2-space-indented JSON and a newline."""
-    Path(path).write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def write_csv(path, header, rows) -> None:
     """Write a header line and one comma-separated line per row, taking
     ``rows`` lazily: floats as ``repr``, any other cell as ``str``."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with replacing(path) as fh:
         for row in itertools.chain((header,), rows):
             cells = (repr(float(c)) if isinstance(c, float) else str(c) for c in row)
             fh.write(",".join(cells) + "\n")
@@ -465,30 +479,43 @@ def forward(model: Mlp, x):
     return (out[0] if single else out).copy()
 
 
-def _forward_buffers(rows: int, cfg: MlpConfig) -> tuple[np.ndarray, np.ndarray]:
-    """The two flat buffers ``_forward_into`` needs for ``rows`` rows."""
-    size = rows * max((*cfg.hidden, cfg.output_dim))
-    return np.empty(size), np.empty(size)
+_ACT_ROWS = 128  # rows per block of the plain pass's in-place activation
+
+
+def _forward_buffers(rows: int, cfg: MlpConfig) -> tuple[np.ndarray, ...]:
+    """The flat buffers ``_forward_into`` needs for ``rows`` rows: one
+    for the widest even-indexed layer, one for the widest odd-indexed
+    layer, and an activation scratch of at most ``_ACT_ROWS`` rows."""
+    widths = (*cfg.hidden, cfg.output_dim)
+    even, odd = max(widths[0::2]), max(widths[1::2], default=0)
+    scratch = min(rows, _ACT_ROWS) * max(cfg.hidden, default=0)
+    return np.empty(rows * even), np.empty(rows * odd), np.empty(scratch)
 
 
 def _forward_into(model: Mlp, h: np.ndarray, buffers) -> np.ndarray:
-    """The plain pass over the rows of ``h``: each layer's pre-activation
-    is written into the first buffer and its activation into the second
-    (see ``_forward_buffers``).  Returns the output layer, a view into the
-    first buffer.  Training's validation pass runs it on a worker thread,
-    so it calls nothing that ``bench/bindings.py`` wraps: the benchmark's
-    tracer keeps one span stack per process."""
-    zbuf, hbuf = buffers
+    """The plain pass over the rows of ``h``: layer i's gemm writes into
+    buffer i mod 2 (see ``_forward_buffers``), whole, since a gemm cut
+    into row blocks can sum in another order; the elementwise activation
+    is applied in place, one row block at a time through the scratch.
+    Returns the output layer, a view into a buffer.  Training's validation
+    pass runs it on a worker thread, so it calls nothing that
+    ``bench/bindings.py`` wraps: the benchmark's tracer keeps one span
+    stack per process."""
+    *layer_bufs, scratch = buffers
     table = activation_table(model.config)
     last = len(model.weights) - 1
     for i, (w, b) in enumerate(zip(model.weights, model.biases)):
         shape = (len(h), len(w))
-        z = np.matmul(h, w.T, out=zbuf[: math.prod(shape)].reshape(shape))
+        z = np.matmul(h, w.T, out=layer_bufs[i % 2][: math.prod(shape)].reshape(shape))
         z += b
         if i == last:
             return z
-        h = hbuf[: z.size].reshape(shape)
-        table.into(z, h)
+        for lo in range(0, len(z), _ACT_ROWS):
+            block = z[lo : lo + _ACT_ROWS]
+            act = scratch[: block.size].reshape(block.shape)
+            table.into(block, act)
+            block[...] = act
+        h = z
 
 
 def softmax_lattice(arr: np.ndarray, t: int) -> np.ndarray:
@@ -575,38 +602,32 @@ def _flat_views(flat: np.ndarray, shapes) -> list[np.ndarray]:
 def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, TrainingReport]:
     """Minibatch training with early stopping on a held-out split.
 
-    Regression (output_dim 1) minimizes mean squared error; wider heads
-    are trained as classifiers with softmax cross-entropy on one-hot (or
-    soft) target rows.  Returns the weights of the best validation epoch.
+    Regression (output_dim 1) minimizes mean squared error on targets
+    standardized internally (centered, unit spread); the affine map is
+    folded back into the last layer afterwards and the reported losses
+    are in raw target units.  Wider heads are trained as classifiers with
+    softmax cross-entropy on one-hot (or soft) target rows.  Returns the
+    weights of the best validation epoch.
 
-    Regression targets are standardized internally (centered, unit
-    spread) so the optimizer sees the same residual scale regardless of
-    the target's units; the affine map is folded back into the last
-    layer afterwards and reported losses stay in raw target units, so
-    the returned model and report read as if the loop had run on raw
-    targets with better conditioning.
-
-    A step allocates nothing the size of the network.  Every weight and
-    bias is a reshaped view into one flat vector, and every gradient a
-    view into a second one, which the backward pass fills through
-    ``out=``; each batch size keeps its own pre-activation, activation,
-    slope and delta buffers, which the activation table's ``out=`` form
-    fills; Adam or SGD then updates the flat vector in place through two
-    scratch vectors, in the same operand order as a per-array update, so
-    the bytes are those of one.
+    Beside the dataset and its standardized targets, train holds the
+    validation rows and the split's indices; the parameters, their
+    gradient, Adam's moments and two scratch vectors as flat vectors
+    (every weight, bias and gradient a view into one); a snapshot and
+    the best parameters; each batch size's layer buffers; and the
+    validation pass's buffers (``_forward_buffers``).  A step gathers its
+    batch from the dataset by index, fills those buffers through
+    ``out=``, and updates the flat vector in place in the operand order
+    of a per-array update, so the bytes are those of one.
 
     Validation runs one epoch behind, on one worker thread owned by this
-    call.  At the end of epoch e the flat vector is copied into a
-    snapshot, and the worker computes epoch e's validation loss on it
-    while epoch e+1 trains.  The main thread collects that loss at the
-    first step boundary after it is ready (at the latest before epoch
-    e+1 ends): it records the loss, keeps the snapshot if it is the best
-    so far, and stops when patience runs out, dropping the partial epoch
-    e+1.  So the model, the report and the stopped epoch are those of
-    validating each epoch before the next one starts.  A non-finite
-    training loss raises at the end of its epoch, a non-finite
-    validation loss when it is collected; either names its epoch.  The
-    worker is shut down before ``train`` returns or raises.
+    call: epoch e's loss is computed on a snapshot while epoch e+1 trains
+    and is collected at the first step boundary after it is ready (at
+    the latest before epoch e+1 ends), where running out of patience
+    stops training and drops the partial epoch e+1.  So the model, the
+    report and the stopped epoch are those of the sequential loop.  A
+    non-finite training loss raises at the end of its epoch, a
+    non-finite validation loss when it is collected; either names its
+    epoch.  The worker is shut down before ``train`` returns or raises.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized dataset")
@@ -633,7 +654,6 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     if n_val >= data.n:
         raise ValueError("validation split leaves no training rows")
     val_idx, train_idx = perm[:n_val], perm[n_val:]
-    x_tr, y_tr = data.features[train_idx], targets[train_idx]
     x_va, y_va = data.features[val_idx], targets[val_idx]
 
     init = init_mlp(mcfg)
@@ -641,6 +661,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     dims = [mcfg.input_dim, *mcfg.hidden, mcfg.output_dim]
     shapes = [a.shape for a in init.weights + init.biases]
     flat = np.concatenate([a.ravel() for a in init.weights + init.biases])
+    del init  # flat holds its values
     grad = np.zeros_like(flat)
     params, grads = _flat_views(flat, shapes), _flat_views(grad, shapes)
     weights, biases = params[:nlayers], params[nlayers:]
@@ -656,7 +677,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     buffers: dict[int, tuple[list[np.ndarray], ...]] = {}
 
     def step(idx: np.ndarray) -> float:
-        """One optimizer step on the rows ``idx``; returns their summed loss."""
+        """One optimizer step on the dataset rows ``idx``; returns their summed loss."""
         nonlocal nsteps
         nonlocal flat, adam_m, adam_v, scratch  # rebound only by in-place operators
         if len(idx) not in buffers:
@@ -665,7 +686,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
                 for widths in (dims[1:], dims[1:-1], dims[1:-1], dims[1:-1])
             )
         zs, acts, slopes, deltas = buffers[len(idx)]
-        xb, yb = x_tr[idx], y_tr[idx]
+        xb, yb = data.features[idx], targets[idx]
         inputs = [xb, *acts]
         for i in range(nlayers):
             z = np.matmul(inputs[i], weights[i].T, out=zs[i])
@@ -735,16 +756,16 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
 
     with ThreadPoolExecutor(max_workers=1, thread_name_prefix="xdiff-validate") as worker:
         for epoch in range(1, tcfg.max_epochs + 1):
-            order = rng.permutation(len(x_tr))
+            order = train_idx[rng.permutation(len(train_idx))]
             epoch_loss, halt = 0.0, False
-            for start in range(0, len(x_tr), tcfg.batch_size):
+            for start in range(0, len(order), tcfg.batch_size):
                 halt = collect(wait=False)
                 if halt:
                     break  # the last epoch ended training: drop this partial one
                 epoch_loss += step(order[start : start + tcfg.batch_size])
             if halt or collect(wait=True):
                 break
-            train_loss = epoch_loss / len(x_tr)
+            train_loss = epoch_loss / len(order)
             if not math.isfinite(train_loss):
                 raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
             train_losses.append(train_loss)

@@ -28,7 +28,7 @@ from itertools import combinations, combinations_with_replacement, permutations
 
 import numpy as np
 
-from .mlp import Mlp, check_derivative_order, forward_lattice
+from .mlp import Mlp, check_derivative_order, forward_lattice, replacing
 
 
 @dataclass(frozen=True)
@@ -370,7 +370,7 @@ def render_heatmap(
                 f'stroke-width="2" stroke-dasharray="4 2"/>'
             )
     out.append("</svg>")
-    with open(path, "w", encoding="utf-8", newline="\n") as fh:
+    with replacing(path) as fh:
         fh.write("\n".join(out) + "\n")
 
 

@@ -65,18 +65,20 @@ def xdiff_cli():
     nor a stale installed copy is involved.  ``XDIFF_SEED`` is removed
     from the child's environment so a run without ``--seed`` uses the
     documented default seed, 0, whatever the caller's shell holds.
+    With ``background`` it returns the running ``Popen``, started in a
+    session of its own, so the processes it leaves can be found by its
+    process group.
     """
     base_env = dict(os.environ)
     base_env.pop("XDIFF_SEED", None)
     src = str(Path(xdiff.__file__).resolve().parent.parent)
     base_env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, base_env.get("PYTHONPATH")]))
 
-    def run(*argv, module="xdiff", env=None):
-        return subprocess.run(
-            [sys.executable, "-m", module, *argv],
-            capture_output=True,
-            text=True,
-            env={**base_env, **(env or {})},
-        )
+    def run(*argv, module="xdiff", env=None, background=False):
+        cmd, env = [sys.executable, "-m", module, *argv], {**base_env, **(env or {})}
+        if background:
+            return subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                                    text=True, env=env, start_new_session=True)
+        return subprocess.run(cmd, capture_output=True, text=True, env=env)
 
     return run

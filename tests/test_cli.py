@@ -1,7 +1,11 @@
 import hashlib
 import importlib
 import json
+import os
+import signal
 import sys
+import threading
+import time
 from pathlib import Path
 
 import numpy as np
@@ -104,8 +108,9 @@ def test_failed_run_reports_error_status(tmp_path):
     [
         (SingularityError("reciprocal of a value of zero"), 1, "reciprocal of a value of zero"),
         (KeyboardInterrupt(), 130, "interrupted"),
+        (cli.Terminated(), 143, "terminated"),
     ],
-    ids=["singularity", "interrupt"],
+    ids=["singularity", "interrupt", "terminated"],
 )
 def test_unexpected_exception_still_finishes_run(tmp_path, monkeypatch, capsys, exc, code, message):
     def boom(*args, **kwargs):
@@ -121,6 +126,81 @@ def test_unexpected_exception_still_finishes_run(tmp_path, monkeypatch, capsys, 
     assert run["status"] == "error"
     assert run["error"] == message
     assert f"error: {message}" in capsys.readouterr().err
+
+
+def test_sigterm_finishes_run_json_as_error(tmp_path, xdiff_cli):
+    """A train sent SIGTERM while its run.json reads running exits 143
+    with run.json finished as error, and leaves no process behind."""
+    rng = np.random.default_rng(4)
+    data = tmp_path / "big.csv"
+    save_csv(Dataset(rng.normal(size=(3000, 10)), rng.normal(size=3000)), data)
+    out = tmp_path / "out"
+    proc = xdiff_cli("train", "--data", str(data), "--epochs", "1000", "--patience", "1000",
+                     "--out-dir", str(out), background=True)
+    try:
+        deadline = time.monotonic() + 60
+        while not (out / "run.json").exists() or _read_run(out)["status"] != "running":
+            assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143, err
+    assert err.strip().endswith("error: terminated")
+    run = _read_run(out)
+    assert (run["status"], run["error"]) == ("error", "terminated")
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux") or len(os.sched_getaffinity(0)) < 2,
+                    reason="detect forks workers on Linux with two or more CPUs only")
+def test_sigterm_during_a_split_detect_leaves_no_worker(tmp_path, xdiff_cli):
+    """SIGTERM to a detect whose forked worker is scoring: the caller
+    finishes run.json as error and exits 143, and its worker is reaped."""
+    rng = np.random.default_rng(5)
+    save_csv(Dataset(rng.normal(size=(2000, 60)), rng.normal(size=2000)), tmp_path / "wide.csv")
+    save_model(init_mlp(MlpConfig(input_dim=60)), tmp_path / "wide.json")
+    out = tmp_path / "out"
+    proc = xdiff_cli("detect", "--model", str(tmp_path / "wide.json"), "--data",
+                     str(tmp_path / "wide.csv"), "--max-order", "3", "--full-order", "3",
+                     "--out-dir", str(out), background=True)
+    children = Path(f"/proc/{proc.pid}/task/{proc.pid}/children")
+    try:
+        deadline = time.monotonic() + 60
+        while not children.read_text().split():
+            assert proc.poll() is None and time.monotonic() < deadline, proc.returncode
+            time.sleep(0.01)
+        proc.send_signal(signal.SIGTERM)
+        _, err = proc.communicate(timeout=60)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 143, err
+    run = _read_run(out)
+    assert (run["status"], run["error"]) == ("error", "terminated")
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
+
+
+def test_sigterm_handler_is_the_runs_alone(tmp_path):
+    """main installs its SIGTERM handler for the run only, and runs off
+    the main thread, where no handler can be installed."""
+    before = signal.getsignal(signal.SIGTERM)
+    argv = ["gen-data", "--function", "F1", "--samples", "20", "--out-dir"]
+    assert main([*argv, str(tmp_path / "main")]) == 0
+    assert signal.getsignal(signal.SIGTERM) is before
+    codes = []
+    worker = threading.Thread(target=lambda: codes.append(main([*argv, str(tmp_path / "off")])))
+    worker.start()
+    worker.join(timeout=60)
+    assert not worker.is_alive() and codes == [0]
+    for name in ("main", "off"):
+        files = sorted(p.name for p in (tmp_path / name).iterdir())
+        assert files == ["f1_data.csv", "f1_truth.json", "run.json"]  # no temporary file
 
 
 def test_empty_csv_reports_the_file(tmp_path, capsys):

@@ -20,7 +20,6 @@ from xdiff.evaluate import (
     mean_truth_auc,
     pair_scores,
     pairwise_suite,
-    relative_higher_order,
     truth_auc_per_order,
 )
 from xdiff.mlp import Dataset, MlpConfig, TrainConfig
@@ -261,47 +260,6 @@ def test_mean_truth_auc_needs_a_scoreable_order():
     truth = bm.GroundTruth(maximal_sets=((0, 1, 2),))
     with pytest.raises(UndefinedAucError, match="no order"):
         mean_truth_auc(_ranking({3: [((0, 1, 2), 1.0)]}), truth)
-
-
-# --- relative protocol
-
-def test_relative_higher_order_separates_detectors():
-    truth = bm.GroundTruth(maximal_sets=((0, 1, 2),))
-    rank_a = _ranking({3: [((0, 1, 2), 9.0), ((0, 1, 3), 1.0)]})
-    rank_b = _ranking({3: [((0, 1, 3), 9.0), ((0, 1, 2), 1.0)]})
-    auc_a, auc_b = relative_higher_order(rank_a, rank_b, 3, truth)
-    assert auc_a == 1.0
-    assert auc_b == 0.0
-
-
-def test_relative_higher_order_of_identical_rankings():
-    truth = bm.GroundTruth(maximal_sets=((0, 1, 2),))
-    rank = _ranking({3: [((0, 1, 2), 2.0), ((1, 2, 3), 1.0)]})
-    auc_a, auc_b = relative_higher_order(rank, rank, 3, truth)
-    assert auc_a == auc_b == 1.0
-
-
-def test_relative_higher_order_scores_missing_union_members_zero():
-    truth = bm.GroundTruth(maximal_sets=((0, 1, 2),))
-    rank_a = _ranking({3: [((0, 1, 2), 9.0), ((0, 1, 3), 1.0)]})
-    rank_c = _ranking({3: [((0, 1, 3), 5.0)]})
-    auc_a, auc_c = relative_higher_order(rank_a, rank_c, 3, truth)
-    assert auc_a == 1.0
-    assert auc_c == 0.0  # its only score sits above the imputed truth
-
-
-def test_relative_higher_order_missing_order():
-    truth = bm.GroundTruth(maximal_sets=((0, 1, 2),))
-    rank = _ranking({3: [((0, 1, 2), 1.0)]})
-    with pytest.raises(ValueError, match="lacks order 4"):
-        relative_higher_order(rank, rank, 4, truth)
-
-
-def test_relative_higher_order_empty_union():
-    truth = bm.GroundTruth(maximal_sets=((0, 1, 2),))
-    empty = _ranking({3: []})
-    with pytest.raises(UndefinedAucError, match="neither ranking"):
-        relative_higher_order(empty, empty, 3, truth)
 
 
 # --- suite plumbing

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from scipy import special
 
+from xdiff import benchmarks as bm
 from xdiff import mlp
 from xdiff.autodiff import GELU, CrossDual
 from xdiff.mlp import (
@@ -192,6 +193,41 @@ def test_forward_shape_errors():
         forward_lattice(model, [[0]], 1, value=np.zeros(4), bank=np.eye(4))
 
 
+def _layer_by_layer(model, x):
+    """The plain pass as one gemm per layer into a new array, plus
+    ``into`` between new arrays: the bytes oracle of ``_forward_into``."""
+    h = x
+    for i, (w, b) in enumerate(zip(model.weights, model.biases)):
+        z = np.matmul(h, w.T)
+        z += b
+        if i == len(model.weights) - 1:
+            return z
+        h = np.empty_like(z)
+        activation_table(model.config).into(z, h)
+
+
+@pytest.mark.parametrize(
+    "rows, hidden, activation",
+    [(300, (140, 100, 60, 20), "gelu"), (1, (140, 100, 60, 20), "gelu"),
+     (300, (), "gelu"), (300, (9, 130, 7), "relu"), (129, (3,), "gelu")],
+    ids=["300-rows", "one-row", "no-hidden-layer", "relu", "one-row-past-a-block"],
+)
+def test_plain_pass_has_the_bytes_of_one_gemm_and_activation_per_layer(rows, hidden, activation):
+    """The validation pass and ``forward`` apply the activation in place,
+    in row blocks of ``_ACT_ROWS`` (300 rows end in a ragged block), and
+    alternate two buffers; every layer keeps the bytes of its own gemm
+    and activation."""
+    model = init_mlp(MlpConfig(input_dim=10, hidden=hidden, output_dim=2,
+                               activation=activation, seed=rows))
+    x = np.random.default_rng(rows).normal(scale=2.0, size=(rows, 10))
+    want = _layer_by_layer(model, x).tobytes()
+    buffers = mlp._forward_buffers(rows, model.config)
+    assert mlp._forward_into(model, x, buffers).tobytes() == want
+    assert forward(model, x).tobytes() == want
+    if rows == 1:
+        assert forward(model, x[0]).tobytes() == want
+
+
 # --- training
 
 def test_train_learns_linear_map():
@@ -359,6 +395,17 @@ def test_no_thread_outlives_train(monkeypatch):
         assert threading.enumerate() == before, name
 
 
+def test_train_peak_memory_holds_no_copied_training_split(traced_peak):
+    """Default net, 10,000 F8 rows, 2 epochs: the validation pass's
+    buffers are sized per layer parity (2,000 x 140 and 2,000 x 100, not
+    two of 2,000 x 140), the batches are gathered from the dataset, and
+    the initial weights die once flattened.  6.77 MiB measured; 8.09 MiB
+    with the copied 8,000-row split and two full-width buffers."""
+    data = normalize(bm.sample_dataset("F8", 10_000, 0))
+    peak = traced_peak(train, data, MlpConfig(input_dim=10), TrainConfig(max_epochs=2, patience=1))
+    assert peak <= 7.4 * (1 << 20), f"peak {peak / (1 << 20):.2f} MiB"
+
+
 def test_train_rejects_unnormalized():
     with pytest.raises(ValueError, match="normalized"):
         train(_toy(), MlpConfig(input_dim=3), TrainConfig())
@@ -498,6 +545,30 @@ def test_checkpoint_with_missing_layers_names_both_counts(tmp_path):
         load_model(path)
     with pytest.raises(ValueError, match="got 3 weight and 2 bias arrays"):
         Mlp(model.weights, model.biases[:2], model.config)
+
+
+@pytest.mark.parametrize("cut", [RuntimeError, KeyboardInterrupt])
+def test_a_write_that_raises_leaves_the_old_file_or_none(tmp_path, cut):
+    """write_csv and write_json write a temporary file beside the target
+    and move it onto the target: a write that raises partway leaves the
+    old file whole, or no file, and no temporary file either way."""
+    def rows():
+        yield (0.25, "a")
+        raise cut("cut")
+
+    path, doc = tmp_path / "t.csv", tmp_path / "d.json"
+    with pytest.raises(cut):
+        mlp.write_csv(path, ("x", "y"), rows())
+    assert list(tmp_path.iterdir()) == []
+    mlp.write_csv(path, ("x", "y"), [(0.5, "b")])
+    mlp.write_json(doc, {"k": 1})
+    with pytest.raises(cut):
+        mlp.write_csv(path, ("x", "y"), rows())
+    with pytest.raises(TypeError, match="not JSON serializable"):
+        mlp.write_json(doc, {"k": object()})
+    assert path.read_text() == "x,y\n0.5,b\n"
+    assert doc.read_text() == '{\n  "k": 1\n}\n'
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["d.json", "t.csv"]
 
 
 def _checkpoint_doc(path):
