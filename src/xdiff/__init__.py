@@ -24,7 +24,6 @@ from .autodiff import (  # noqa: E402
     SingularityError,
     TagMismatchError,
     cross_partial,
-    fd_oracle,
 )
 from .benchmarks import (  # noqa: E402
     FUNCTIONS,
@@ -122,7 +121,6 @@ __all__ = [
     "cross_partial",
     "default_pipeline",
     "eval_function",
-    "fd_oracle",
     "forward",
     "gelu",
     "get_function",

@@ -24,11 +24,10 @@ g's live rows and adds each mask's sum up in place from +0.0, pair by
 pair, in the order np.sum adds the rows of a batch.
 
 The module also hosts the ordinary-derivative tables of the elementary
-functions (ElementaryTable) and three entry points: lattice_call, which
+functions (ElementaryTable) and two entry points: lattice_call, which
 hands a callable its inputs as CrossDuals and returns the coefficients
-of its value; cross_partial, which reads one mixed partial at a point
-off lattice_call; and fd_oracle, a nested central-difference estimate
-for the tests.  A table is callable on plain numbers, arrays and
+of its value, and cross_partial, which reads one mixed partial at a
+point off lattice_call.  A table is callable on plain numbers, arrays and
 CrossDuals alike, with the same domain check for each, so one formula
 source evaluates both ways: ``exp``, ``log``, ... are the tables.
 
@@ -774,27 +773,3 @@ def cross_partial(f: Callable, point: Sequence[float], indices: Iterable[int]) -
     arr[:, 0] = point
     arr[tags, 1 << np.arange(len(tags))] = 1.0
     return float(lattice_call(f, arr, len(tags))[-1])
-
-
-def fd_oracle(f: Callable, point: Sequence[float], indices: Iterable[int], h: float = 1e-3) -> float:
-    """Nested central-difference estimate of the same mixed partial.
-
-    Independent of the lattice arithmetic; intended for tests.  Accuracy
-    degrades with subset size, so sizes above 3 are not recommended.
-    """
-    if h <= 0:
-        raise ValueError("step h must be positive")
-    order = sorted(set(int(i) for i in indices))
-    base = np.asarray(point, dtype=np.float64)
-
-    def rec(x: np.ndarray, depth: int) -> float:
-        if depth == len(order):
-            return float(f(x))
-        i = order[depth]
-        xp = x.copy()
-        xp[i] += h
-        xm = x.copy()
-        xm[i] -= h
-        return (rec(xp, depth + 1) - rec(xm, depth + 1)) / (2.0 * h)
-
-    return rec(base, 0)

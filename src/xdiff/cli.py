@@ -397,8 +397,7 @@ def build_parser() -> _Parser:
                         help="base RNG seed (default: XDIFF_SEED env var, else 0)")
     common.add_argument("--threads", type=int, default=1,
                         help="at least 1; accepted by every subcommand and used by none "
-                             "yet (train always validates on one worker thread); never "
-                             "changes output bytes")
+                             "yet; never changes output bytes")
     common.add_argument("--out-dir", default=".", help="directory for artifacts and run.json")
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))

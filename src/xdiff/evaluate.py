@@ -128,6 +128,8 @@ def pairwise_suite(
     in for the sample-train-detect chain."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    if not functions:
+        raise ValueError("functions must name at least one benchmark")
     for fid in functions:
         bm.get_function(fid)
     if pipeline is None:

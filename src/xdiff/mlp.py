@@ -3,8 +3,7 @@
 The model is a plain affine stack with GELU (or ReLU) hidden activations
 and a linear head, trained by minibatch Adam or SGD with early stopping
 on a validation split.  Everything is seeded, so a given (data, config)
-pair reproduces bit-identical weights, whenever training's validation
-thread finishes (see ``train``).  The matrix products would sum in
+pair reproduces bit-identical weights.  The matrix products would sum in
 another order at another OpenBLAS thread count, so importing xdiff pins
 OpenBLAS to one thread (``blas``); where it cannot (numpy loaded first
 with a BLAS whose setter it does not find) it warns once, and the
@@ -43,7 +42,6 @@ import math
 import os
 import re
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import closing, contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -497,10 +495,7 @@ def _forward_into(model: Mlp, h: np.ndarray, buffers) -> np.ndarray:
     buffer i mod 2 (see ``_forward_buffers``), whole, since a gemm cut
     into row blocks can sum in another order; the elementwise activation
     is applied in place, one row block at a time through the scratch.
-    Returns the output layer, a view into a buffer.  Training's validation
-    pass runs it on a worker thread, so it calls nothing that
-    ``bench/bindings.py`` wraps: the benchmark's tracer keeps one span
-    stack per process."""
+    Returns the output layer, a view into a buffer."""
     *layer_bufs, scratch = buffers
     table = activation_table(model.config)
     last = len(model.weights) - 1
@@ -612,22 +607,15 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     Beside the dataset and its standardized targets, train holds the
     validation rows and the split's indices; the parameters, their
     gradient, Adam's moments and two scratch vectors as flat vectors
-    (every weight, bias and gradient a view into one); a snapshot and
-    the best parameters; each batch size's layer buffers; and the
-    validation pass's buffers (``_forward_buffers``).  A step gathers its
-    batch from the dataset by index, fills those buffers through
-    ``out=``, and updates the flat vector in place in the operand order
-    of a per-array update, so the bytes are those of one.
+    (every weight, bias and gradient a view into one); the best
+    parameters; each batch size's layer buffers; and the validation
+    pass's buffers (``_forward_buffers``).  A step gathers its batch from
+    the dataset by index, fills those buffers through ``out=``, and
+    updates the flat vector in place in the operand order of a per-array
+    update, so the bytes are those of one.
 
-    Validation runs one epoch behind, on one worker thread owned by this
-    call: epoch e's loss is computed on a snapshot while epoch e+1 trains
-    and is collected at the first step boundary after it is ready (at
-    the latest before epoch e+1 ends), where running out of patience
-    stops training and drops the partial epoch e+1.  So the model, the
-    report and the stopped epoch are those of the sequential loop.  A
-    non-finite training loss raises at the end of its epoch, a
-    non-finite validation loss when it is collected; either names its
-    epoch.  The worker is shut down before ``train`` returns or raises.
+    Each epoch ends with a validation pass over the current parameters.
+    A non-finite training or validation loss raises, naming its epoch.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized dataset")
@@ -721,58 +709,31 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
             flat -= np.multiply(lr, grad, out=scratch)
         return loss * len(idx)
 
-    # The worker validates the snapshot; it starts as a copy of flat
-    # because Mlp rejects non-finite weights.
-    snapshot = flat.copy()
-    views = _flat_views(snapshot, shapes)
-    val_model = Mlp(views[:nlayers], views[nlayers:], mcfg)
+    val_model = Mlp(weights, biases, mcfg)  # views into flat, finite at init
     val_buffers = _forward_buffers(n_val, mcfg)
-
-    def validate() -> float:
-        return _loss(_forward_into(val_model, x_va, val_buffers), y_va, classification)
-
     train_losses: list[float] = []
     val_losses: list[float] = []
     best_epoch, best_val = 0, math.inf
     best = flat.copy()
-    pending = None  # the future of the last epoch's validation loss
-
-    def collect(wait: bool) -> bool:
-        """Settle the pending validation loss if it is ready (or once it
-        is, with ``wait``); True when it ends training."""
-        nonlocal pending, best_epoch, best_val
-        if pending is None or not (wait or pending.done()):
-            return False
-        val_loss, pending = pending.result(), None
-        epoch = len(val_losses) + 1
+    for epoch in range(1, tcfg.max_epochs + 1):
+        order = train_idx[rng.permutation(len(train_idx))]
+        epoch_loss = 0.0
+        for start in range(0, len(order), tcfg.batch_size):
+            epoch_loss += step(order[start : start + tcfg.batch_size])
+        train_loss = epoch_loss / len(order)
+        if not math.isfinite(train_loss):
+            raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
+        val_loss = _loss(_forward_into(val_model, x_va, val_buffers), y_va, classification)
         if not math.isfinite(val_loss):
             raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
+        train_losses.append(train_loss)
         val_losses.append(val_loss)
-        log.debug("epoch %d train %.6g val %.6g", epoch, train_losses[-1], val_loss)
+        log.debug("epoch %d train %.6g val %.6g", epoch, train_loss, val_loss)
         if val_loss < best_val:
             best_epoch, best_val = epoch, val_loss
-            best[...] = snapshot
-        return epoch - best_epoch >= tcfg.patience
-
-    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="xdiff-validate") as worker:
-        for epoch in range(1, tcfg.max_epochs + 1):
-            order = train_idx[rng.permutation(len(train_idx))]
-            epoch_loss, halt = 0.0, False
-            for start in range(0, len(order), tcfg.batch_size):
-                halt = collect(wait=False)
-                if halt:
-                    break  # the last epoch ended training: drop this partial one
-                epoch_loss += step(order[start : start + tcfg.batch_size])
-            if halt or collect(wait=True):
-                break
-            train_loss = epoch_loss / len(order)
-            if not math.isfinite(train_loss):
-                raise TrainingError(f"training diverged (non-finite loss) at epoch {epoch}")
-            train_losses.append(train_loss)
-            snapshot[...] = flat
-            pending = worker.submit(validate)
-        else:
-            collect(wait=True)
+            best[...] = flat
+        if epoch - best_epoch >= tcfg.patience:
+            break
     stopped = len(val_losses)
 
     kept = [v.copy() for v in _flat_views(best, shapes)]

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from xdiff import benchmarks as bm
-from xdiff.autodiff import DomainError, cross_partial, fd_oracle
+from xdiff.autodiff import DomainError, cross_partial
 from xdiff.detect import (
     DetectConfig,
     aggregation_sweep,
@@ -32,6 +32,8 @@ from xdiff.salience import (
     hessian_cam,
     taylor_cam,
 )
+
+from finite_difference import fd_oracle
 
 RAW = CamOptions(square=False, symmetrize=False, zero_diagonal=False)
 

@@ -14,7 +14,6 @@ from xdiff.autodiff import (
     SingularityError,
     TagMismatchError,
     cross_partial,
-    fd_oracle,
     lattice_call,
     lattice_compose,
     lattice_mul,
@@ -24,6 +23,7 @@ from xdiff.benchmarks import FUNCTION_IDS, eval_function, sample_dataset
 from xdiff.detect import local_ies
 
 from dense_lattice import dense_pass, detect_seeds, salience_seeds
+from finite_difference import fd_oracle
 
 
 # --- elementary derivative tables, each checked against differencing its

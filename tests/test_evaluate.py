@@ -286,6 +286,8 @@ def test_pairwise_suite_rejects_bad_arguments():
         pairwise_suite(trials=0)
     with pytest.raises(ValueError, match="unknown function"):
         pairwise_suite(functions=("F11",), trials=1, pipeline=lambda f, s: None)
+    with pytest.raises(ValueError, match="functions"):
+        pairwise_suite(functions=(), trials=1, pipeline=lambda f, s: None)
 
 
 def test_analytic_oracle_saturates_detectable_functions():

@@ -2,9 +2,7 @@ import itertools
 import json
 import math
 import re
-import sys
 import threading
-import time
 import warnings
 
 import numpy as np
@@ -319,34 +317,15 @@ def _noise_run(**tcfg):
     return [a.tobytes() for a in model.weights + model.biases], report
 
 
-def test_train_does_not_depend_on_when_validation_finishes(monkeypatch):
-    """Epoch e's validation loss is collected at the first step boundary
-    after it is ready, or at the end of epoch e+1.  A slow validation
-    (collected after the whole next epoch, which an early stop drops),
-    slow steps (validation ready at the next boundary) and threads
-    switched every microsecond give the bytes of the unhindered run."""
-    want = _noise_run()
-    assert want[1].stopped_epoch < 60
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        assert _noise_run() == want
-    finally:
-        sys.setswitchinterval(interval)
-    forward_into, loss_and_grad = mlp._forward_into, mlp._loss_and_grad
+def test_train_starts_no_thread(monkeypatch):
+    """train validates each epoch on the calling thread."""
 
-    def slow_validation(*args):
-        time.sleep(0.02)
-        return forward_into(*args)
+    def refuse(self):
+        raise AssertionError(f"train started thread {self.name!r}")
 
-    def slow_step(*args):
-        time.sleep(0.001)
-        return loss_and_grad(*args)
-
-    for name, slowed in (("_forward_into", slow_validation), ("_loss_and_grad", slow_step)):
-        with monkeypatch.context() as m:
-            m.setattr(mlp, name, slowed)
-            assert _noise_run() == want, name
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    _weights, report = _noise_run()
+    assert report.stopped_epoch < 60
 
 
 def test_non_finite_validation_loss_names_its_epoch(monkeypatch):
@@ -362,37 +341,6 @@ def test_non_finite_validation_loss_names_its_epoch(monkeypatch):
     monkeypatch.setattr(mlp, "_forward_into", nan_on_third_call)
     with pytest.raises(TrainingError, match=r"non-finite loss\) at epoch 3$"):
         _noise_run(patience=60)
-
-
-def _interrupt_on_call(n, fn):
-    calls = []
-
-    def interrupted(*args):
-        calls.append(None)
-        if len(calls) == n:
-            raise KeyboardInterrupt
-        return fn(*args)
-
-    return interrupted
-
-
-def test_no_thread_outlives_train(monkeypatch):
-    """The validation worker is gone when train returns, when it raises
-    and when it is interrupted, on the main thread or on the worker."""
-    before = threading.enumerate()
-    _noise_run()
-    assert threading.enumerate() == before
-    with pytest.raises(TrainingError):
-        _diverge()
-    assert threading.enumerate() == before
-    # 96 training rows in batches of 16: call 8 is epoch 2's second step
-    for name in ("_loss_and_grad", "_forward_into"):
-        with monkeypatch.context() as m:
-            m.setattr(mlp, name, _interrupt_on_call(8 if name == "_loss_and_grad" else 2,
-                                                    getattr(mlp, name)))
-            with pytest.raises(KeyboardInterrupt):
-                _noise_run()
-        assert threading.enumerate() == before, name
 
 
 def test_train_peak_memory_holds_no_copied_training_split(traced_peak):
