@@ -81,7 +81,6 @@ from .salience import (  # noqa: E402
     grad_cam,
     hessian_cam,
     render_heatmap,
-    symmetrize,
     taylor_cam,
     top_interactions,
 )
@@ -140,7 +139,6 @@ __all__ = [
     "sample_dataset",
     "save_csv",
     "save_model",
-    "symmetrize",
     "taylor_cam",
     "top_interactions",
     "train",

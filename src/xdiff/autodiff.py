@@ -4,24 +4,11 @@ A CrossDual carries one coefficient per subset of up to eight tagged
 variables: the coefficient of subset S is the mixed partial of the
 computed quantity with respect to the variables in S, each variable
 differentiated exactly once (the empty-set coefficient is the plain
-value).  Multiplication follows the Leibniz rule, which on the subset
-lattice is a convolution over complementary submask pairs.  Applying an
-elementary scalar function follows the chain rule (Faa di Bruno on set
-partitions), evaluated as a recurrence over submasks: the coefficients
-of f^(j)(g) on a subset S sum, over the blocks B of S holding S's lowest
-tag, g[B] times the coefficients of f^(j+1)(g) on S minus B.  Both rules
-are closed on the lattice precisely because no variable is ever
-differentiated twice.  The recurrence visits only the blocks B that are
-nonzero somewhere in the batch (an unbatched dual is a batch of one): a
-dense g costs about 3^t products per element, while a value plus one
-direction per tag (the first hidden layer of a seeded network) costs
-about 2^(t+1), the closed form f^(|S|)(g_0) times the product of the
-directions.  The dropped terms are +-0 * x, so the result equals the
-full recurrence's wherever that is finite and nonzero; an exact zero
-may change sign, and 0 * inf = NaN from an infinite derivative becomes
-a finite or infinite value.  The recurrence reads contiguous copies of
-g's live rows and adds each mask's sum up in place from +0.0, pair by
-pair, in the order np.sum adds the rows of a batch.
+value).  Multiplication follows the Leibniz rule (lattice_mul), a
+convolution over complementary submask pairs; an elementary scalar
+function follows the chain rule (lattice_compose, Faa di Bruno on set
+partitions).  Both rules are closed on the lattice precisely because no
+variable is ever differentiated twice.
 
 The module also hosts the ordinary-derivative tables of the elementary
 functions (ElementaryTable) and two entry points: lattice_call, which
@@ -31,10 +18,10 @@ point off lattice_call.  A table is callable on plain numbers, arrays and
 CrossDuals alike, with the same domain check for each, so one formula
 source evaluates both ways: ``exp``, ``log``, ... are the tables.
 
-The coefficient routines (lattice_mul, lattice_compose) and CrossDual
-accept arrays whose last axis is the 2^t subset axis and whose leading
-axes are a batch, so one evaluation of a network or a formula yields the
-partials of many seedings at once (vector forward mode).
+The coefficient routines and CrossDual accept arrays whose last axis is
+the 2^t subset axis and whose leading axes are a batch, so one
+evaluation of a network or a formula yields the partials of many
+seedings at once (vector forward mode).
 """
 
 from __future__ import annotations
@@ -76,9 +63,7 @@ class DomainError(ValueError):
         super().__init__(f"{fname} evaluated at {value!r}, which violates {constraint}")
 
 
-# ---------------------------------------------------------------------------
-# Subset-lattice index tables (memoized per tag count)
-# ---------------------------------------------------------------------------
+# --- Subset-lattice index tables (memoized per tag count) ------------------
 
 
 @lru_cache(maxsize=None)
@@ -156,39 +141,28 @@ def lattice_compose(
     result; two levels are alive at a time.  With ``top_only`` level 0
     is its full-mask sum alone, and the result is zero everywhere else.
 
-    g is left as it is unless ``overwrite_g`` is set, which only
-    ``mlp.forward_lattice`` does, on a C-contiguous float64 g it drops
-    afterwards.  Then g's buffer is scratch: once g's live rows are
-    copied, level 0 is written into it, so a dense g holds 2.5 g-sized
-    arrays at the peak (the row copies and two levels, one of them in g)
-    and 2 during the transposing copy into the result (g and the result).
+    g is left as it is unless ``overwrite_g`` is set (a C-contiguous
+    float64 g the caller drops): then level 0 is written into g's buffer
+    once its live rows are copied, so a dense g peaks at 2.5 g-sized
+    arrays.
 
     Only live blocks enter the sums: a mask B of g is live when g[..., B]
-    is nonzero somewhere in the batch.  Where g holds a value and one
-    direction per tag (a first hidden layer fed seeded inputs), each
-    nonempty S keeps the single pair B = {i}, and S = {i1 < ... < ik}
-    comes out as a_i1 * (a_i2 * (... * (a_ik * f^(k)(g_0)))), about
-    2^(t+1) products per element; a dense g keeps every pair, about 3^t.
-    The terms dropped are +-0 * x, so the result equals the full
-    recurrence's wherever that result is finite and nonzero.  An
-    exact-zero coefficient may change sign, and where f^(k)(g_0) is
-    infinite (or NaN) the full recurrence's 0 * inf = NaN becomes a
-    finite or infinite value.
+    is nonzero somewhere in the batch.  A value plus one direction per
+    tag (a first hidden layer fed seeded inputs) keeps the single pair
+    B = {i} per S, about 2^(t+1) products per element; a dense g keeps
+    every pair, about 3^t.  The terms dropped are +-0 * x, so the result
+    equals the full recurrence's wherever that result is finite and
+    nonzero.  An exact-zero coefficient may change sign, and where
+    f^(k)(g_0) is infinite (or NaN) the full recurrence's 0 * inf = NaN
+    becomes a finite or infinite value.
 
-    The live rows of g are copied by one take into a contiguous array
-    (the subset-first view of g is strided), and each S's sum is added
-    up in place in its level row: the first pair's product is written
-    there, and each further product goes through one scratch row and is
-    added, pair by pair in _chain_pairs order, from a +0.0 start (a -0.0
-    coefficient becomes +0.0).  That is the order in which np.sum adds
-    the rows of a batch of two or more columns, so there the bytes are
-    those of gathering the pairs and calling np.sum.
-
-    When g has two or more rows whose values g[..., 0] all equal the
-    first row's bit for bit (one detect representative or one salience
-    grid seeded many ways), the derivative series f^(j)(g_0) is computed
-    on the first row alone and broadcast; it is elementwise, so the bytes
-    are those of the series over the whole batch.
+    Each S's sum adds its pairs' products one at a time, in _chain_pairs
+    order, from a +0.0 start (a -0.0 coefficient becomes +0.0): the
+    order in which np.sum adds the rows of a batch of two or more
+    columns, so there the bytes are those of gathering the pairs and
+    calling np.sum.  The series f^(j)(g_0) is computed once when every
+    row's value equals the first row's bit for bit; it is elementwise,
+    so the bytes are those of the series over the whole batch.
     """
     x0 = g[..., 0]
     table.check(x0)
@@ -250,9 +224,7 @@ def _compose_levels(deriv: list, rows: dict, chain, t: int, top=None, top_only=F
     return level
 
 
-# ---------------------------------------------------------------------------
-# Elementary function derivative tables
-# ---------------------------------------------------------------------------
+# --- Elementary function derivative tables ---------------------------------
 
 
 class ElementaryTable:
@@ -263,12 +235,9 @@ class ElementaryTable:
     SingularityError) when x lies outside the function's domain.  Calling
     the table checks the value and applies it: a CrossDual goes through
     the chain rule (lattice_compose), anything else gets the order-0
-    entry, a float for a scalar and an array for an array.
-
-    A table built with ``into`` (the network activations) also has an
-    ``out=`` form: ``into(x, value, slope)`` writes f(x) into ``value``
-    and, unless ``slope`` is None, f'(x) into ``slope``, with the bytes of
-    ``series(1, x)``; its series takes those two entries from it.
+    entry, a float for a scalar and an array for an array.  A table built
+    with ``into`` (the network activations) also has that ``out=`` form,
+    with the bytes of ``series(1, x)``.
     """
 
     __slots__ = ("name", "_series", "_check", "_into")
@@ -573,9 +542,7 @@ def max_const_table(c: float) -> ElementaryTable:
     return ElementaryTable(f"max[{c!r}]", series, into=into)
 
 
-# ---------------------------------------------------------------------------
-# CrossDual scalar type
-# ---------------------------------------------------------------------------
+# --- CrossDual scalar type -------------------------------------------------
 
 
 class CrossDual:
@@ -724,12 +691,10 @@ class CrossDual:
         return f"CrossDual(value={self.value!r}, ntags={self.ntags})"
 
 
-# Scalar math on CrossDuals and plain numbers alike, so the same formula
-# source evaluates both ways.  Plain numbers read the table's order-0
-# entry rather than libm: np.exp and math.exp disagree by an ulp on some
-# inputs, and the value slice of a dual evaluation is contracted to
-# match plain evaluation bit for bit.  Every kind gets the table's domain
-# check, so arcsin(1.5) or log(0.0) raises on a float as on a dual.
+# Scalar math on CrossDuals and plain numbers alike, with one domain
+# check: plain numbers read the table's order-0 entry rather than libm
+# (np.exp and math.exp disagree by an ulp on some inputs), so a dual's
+# value slice matches plain evaluation bit for bit.
 exp, log, sqrt, sin, cos, sinh, tanh = EXP, LOG, SQRT, SIN, COS, SINH, TANH
 arcsin, arccos, arctan, erf = ARCSIN, ARCCOS, ARCTAN, ERF
 
@@ -739,9 +704,7 @@ def maximum(x, c: float):
     return max_const_table(float(c))(x)
 
 
-# ---------------------------------------------------------------------------
-# The derivative entry points
-# ---------------------------------------------------------------------------
+# --- The derivative entry points -------------------------------------------
 
 
 def lattice_call(f: Callable, arr: np.ndarray, t: int) -> np.ndarray:

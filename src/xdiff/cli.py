@@ -40,7 +40,6 @@ from .evaluate import mean_truth_auc, pairwise_suite
 from .mlp import (
     Dataset,
     MlpConfig,
-    Normalizer,
     TrainConfig,
     load_csv,
     load_model,
@@ -194,14 +193,6 @@ def _load_grid(path, layout) -> FeatureGrid:
     return FeatureGrid(parse_rows(path, rows), layout)
 
 
-def _normalized_input(norm: Normalizer | None, data: Dataset) -> Dataset:
-    """Bring raw features into the model's input space: apply the
-    checkpoint's stored scaling when present, fit one otherwise."""
-    if norm is not None:
-        return Dataset(norm.apply(data.features), data.targets, norm)
-    return normalize(data)
-
-
 # --- subcommands -----------------------------------------------------------
 
 
@@ -217,8 +208,7 @@ def _cmd_gen_data(args, run: Run) -> None:
 
 
 def _cmd_train(args, run: Run) -> None:
-    data = load_csv(args.data)
-    data = normalize(data, center=args.center)
+    data = normalize(load_csv(args.data), center=args.center)
     mcfg = MlpConfig(
         input_dim=data.dim,
         hidden=_parse_hidden(args.hidden),
@@ -267,7 +257,9 @@ def _detect_config(args) -> DetectConfig:
 
 def _cmd_detect(args, run: Run) -> None:
     model, norm = load_model(args.model)
-    data = _normalized_input(norm, load_csv(args.data))
+    data = load_csv(args.data)
+    # the checkpoint's stored scaling when present, a fitted one otherwise
+    data = Dataset(norm.apply(data.features), data.targets, norm) if norm else normalize(data)
     ranking = detect(model, data, _detect_config(args))
     out = _out_path(args, args.out)
     write_json(out, ranking_document(ranking))
@@ -350,7 +342,7 @@ def _demo_trial(seed: int, args, out_dir: Path) -> dict:
         scaled = data.normalizer.apply(test.reshape(-1)).reshape(n, d)
         acc += hessian_cam(model, FeatureGrid(scaled)).values
     acc /= args.test_grids
-    avg = SalienceTensor(2, acc, symmetrized=True, diagonal_zeroed=True)
+    avg = SalienceTensor(2, acc)
     top = top_interactions(avg, 1)[0][0]
     if args.svg:
         svg_path = out_dir / f"cam_demo_seed{seed}.svg"
@@ -416,15 +408,15 @@ def build_parser() -> _Parser:
     p = sub.add_parser("train", parents=[common], help="train a model on a dataset CSV")
     p.add_argument("--data", required=True)
     p.add_argument("--out", default="model.json")
-    p.add_argument("--hidden", default="140,100,60,20")
-    p.add_argument("--activation", default="gelu", choices=("gelu", "relu"))
-    p.add_argument("--output-dim", type=int, default=1)
-    p.add_argument("--learning-rate", type=float, default=0.003)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--patience", type=int, default=10)
-    p.add_argument("--batch-size", type=int, default=100)
-    p.add_argument("--val-fraction", type=float, default=0.2)
-    p.add_argument("--optimizer", default="adam", choices=("adam", "sgd"))
+    p.add_argument("--hidden", default=",".join(map(str, MlpConfig.hidden)))
+    p.add_argument("--activation", default=MlpConfig.activation, choices=("gelu", "relu"))
+    p.add_argument("--output-dim", type=int, default=MlpConfig.output_dim)
+    p.add_argument("--learning-rate", type=float, default=TrainConfig.learning_rate)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
+    p.add_argument("--batch-size", type=int, default=TrainConfig.batch_size)
+    p.add_argument("--val-fraction", type=float, default=TrainConfig.val_fraction)
+    p.add_argument("--optimizer", default=TrainConfig.optimizer, choices=("adam", "sgd"))
     p.add_argument("--center", action="store_true",
                    help="also subtract feature means when normalizing")
     p.set_defaults(func=_cmd_train)
@@ -433,14 +425,14 @@ def build_parser() -> _Parser:
                        help="rank interactions of a trained model on a dataset")
     p.add_argument("--model", required=True)
     p.add_argument("--data", required=True)
-    p.add_argument("--max-order", type=int, default=5)
-    p.add_argument("--full-order", type=int, default=2)
-    p.add_argument("--top-k", type=int, default=10)
-    p.add_argument("--reps", default="mean,min,mode,random",
+    p.add_argument("--max-order", type=int, default=DetectConfig.max_order)
+    p.add_argument("--full-order", type=int, default=DetectConfig.full_order)
+    p.add_argument("--top-k", type=int, default=DetectConfig.top_k)
+    p.add_argument("--reps", default=",".join(DetectConfig.representatives),
                    help=f"comma list from {','.join(REPRESENTATIVE_LABELS)}")
-    p.add_argument("--agg", default="mean", choices=AGGREGATION_LABELS)
-    p.add_argument("--task", default="regression", choices=("regression", "classification"))
-    p.add_argument("--class-index", type=int, default=0)
+    p.add_argument("--agg", default=DetectConfig.aggregation, choices=AGGREGATION_LABELS)
+    p.add_argument("--task", default=DetectConfig.task, choices=("regression", "classification"))
+    p.add_argument("--class-index", type=int, default=DetectConfig.class_index)
     p.add_argument("--use-logit", action="store_true")
     p.add_argument("--squared-multiclass", action="store_true")
     p.add_argument("--out", default="detect.json")
@@ -450,10 +442,10 @@ def build_parser() -> _Parser:
                        help="score every representative-subset x aggregation combination")
     p.add_argument("--function", required=True)
     p.add_argument("--samples", type=int, default=10000)
-    p.add_argument("--epochs", type=int, default=200)
-    p.add_argument("--max-order", type=int, default=5)
-    p.add_argument("--full-order", type=int, default=2)
-    p.add_argument("--top-k", type=int, default=10)
+    p.add_argument("--epochs", type=int, default=TrainConfig.max_epochs)
+    p.add_argument("--max-order", type=int, default=DetectConfig.max_order)
+    p.add_argument("--full-order", type=int, default=DetectConfig.full_order)
+    p.add_argument("--top-k", type=int, default=DetectConfig.top_k)
     p.add_argument("--analytic", action="store_true",
                    help="sweep the exact function instead of a trained model")
     p.add_argument("--out", default="sweep.csv")
@@ -472,10 +464,9 @@ def build_parser() -> _Parser:
     p.add_argument("--model", required=True)
     p.add_argument("--grid", required=True, help="CSV of n rows x d columns")
     p.add_argument("--order", type=int, default=2)
-    p.add_argument("--local-k", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--square", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--symmetrize", action=argparse.BooleanOptionalAction, default=True)
-    p.add_argument("--zero-diagonal", action=argparse.BooleanOptionalAction, default=True)
+    for name in ("local_k", "square", "symmetrize", "zero_diagonal"):
+        p.add_argument(f"--{name.replace('_', '-')}", action=argparse.BooleanOptionalAction,
+                       default=getattr(CamOptions, name))
     p.add_argument("--sum-before-square", action="store_true")
     p.add_argument("--rectify", action="store_true")
     p.add_argument("--top", type=int, default=4)
@@ -491,7 +482,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grids", type=int, default=2000, help="training grids per seed")
     p.add_argument("--test-grids", type=int, default=8)
     p.add_argument("--epochs", type=int, default=60)
-    p.add_argument("--patience", type=int, default=10)
+    p.add_argument("--patience", type=int, default=TrainConfig.patience)
     p.add_argument("--hidden", default="64,32")
     p.add_argument("--svg", action=argparse.BooleanOptionalAction, default=True,
                    help="write one heatmap SVG per seed")

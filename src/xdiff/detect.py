@@ -10,24 +10,13 @@ polynomial while anything strong at a lower order keeps its lineage.
 
 Models can be ``Mlp`` instances or plain callables taking a length-p
 vector, which is how the analytic benchmark functions are plugged in
-directly.  Both are scored the same way: one batched lattice pass per
-order and representative, with one candidate per batch row, run from
-its parts (``forward_lattice``) one row chunk at a time.
-
-Representatives are independent jobs, scored on Linux on up to every
-CPU the process may use: the caller scores one round-robin share,
-workers forked by bare ``os.fork`` one other share each, and each
-process gets at least SHARE_MIN_CELLS of the estimated work.  A job is the same call on the
-same inputs in any process, with OpenBLAS on one thread, so the bytes do
-not depend on the worker count.  With one representative, less work
-than two shares' worth, another thread running, inside a multiprocessing
-child or on another platform, everything runs in the calling process,
-as it always does for ``aggregation_sweep``.
+directly.  ``detect`` and ``aggregation_sweep`` share one profile pass
+(``_profile_pass``), which may score the representatives on several
+processes; the bytes do not depend on how many.
 """
 
 from __future__ import annotations
 
-import logging
 import os
 import pickle
 import signal
@@ -44,26 +33,11 @@ import numpy as np
 from .autodiff import MAX_TAGS, DomainError
 from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, softmax_lattice
 
-log = logging.getLogger(__name__)
-
 REPRESENTATIVE_LABELS = ("mean", "median", "min", "max", "mode", "random")
 AGGREGATION_LABELS = ("mean", "median", "min", "max", "mode")
 
-_REP_DISPLAY = {
-    "mean": "Mean",
-    "median": "Med",
-    "min": "Min",
-    "max": "Max",
-    "mode": "Mode",
-    "random": "Rand",
-}
-_AGG_DISPLAY = {
-    "mean": "Mean",
-    "median": "Median",
-    "min": "Min",
-    "max": "Max",
-    "mode": "Mode",
-}
+_REP_DISPLAY = {"mean": "Mean", "median": "Med", "min": "Min", "max": "Max", "mode": "Mode",
+                "random": "Rand"}
 
 
 def binned_mode(values) -> float:
@@ -170,16 +144,10 @@ def representative_samples(data: Dataset, labels: Sequence[str], seed: int) -> l
         if lab == "random":
             idx = int(rng.integers(data.n))
         else:
-            if lab == "mean":
-                agg = x.mean(axis=0)
-            elif lab == "median":
-                agg = np.median(x, axis=0)
-            elif lab == "min":
-                agg = x.min(axis=0)
-            elif lab == "max":
-                agg = x.max(axis=0)
-            else:
+            if lab == "mode":
                 agg = np.array([binned_mode(x[:, j]) for j in range(x.shape[1])])
+            else:
+                agg = getattr(np, lab)(x, axis=0)  # np.mean, np.median, np.min or np.max
             d = np.linalg.norm(x - agg, axis=1)
             idx = int(np.argmin(d))
         out.append(Representative(lab, idx, x[idx].copy()))
@@ -189,15 +157,11 @@ def representative_samples(data: Dataset, labels: Sequence[str], seed: int) -> l
 def _make_evaluator(model, task: str, class_index: int, use_logit: bool):
     """Check the model against the task and return scores(row, order,
     candidates), which scores every same-order candidate at a row in one
-    ``forward_lattice`` pass: row b carries candidate b's tags, each a
-    unit direction on one variable.  Its memory is one row chunk's
-    whatever the candidate count.  A raw output (regression, or
-    ``use_logit``) takes the full-mask coefficient alone; softmax needs
-    every slot.  A domain error, which a callable raises from the row's
-    value slot that every candidate shares, drops all of them.
-
-    scores returns (values, dropped count) and warns of nothing, since it
-    may run in a forked worker: the caller warns (``_warn_dropped``)."""
+    ``forward_lattice`` pass, candidate b's tags on row b as unit
+    directions.  A domain error, which a callable raises from the value
+    slot that every candidate shares, drops all of them.  scores returns
+    (values, dropped count) and warns of nothing, since it may run in a
+    forked worker: the caller warns (``_warn_dropped``)."""
     if isinstance(model, Mlp):
         if task == "classification" and class_index >= model.config.output_dim:
             raise ValueError(
@@ -260,10 +224,9 @@ def local_ies(
     return values
 
 
-def _transform(cfg: DetectConfig, raw: float) -> float:
-    if cfg.task == "regression" or cfg.squared_multiclass:
-        return raw * raw
-    return raw
+def _by_strength(items) -> list:
+    """(subset, value) pairs, strongest |value| first, ties by subset."""
+    return sorted(items, key=lambda kv: (-abs(kv[1]), kv[0]))
 
 
 def _rep_profile(evaluator, rep: Representative, dim: int, cfg: DetectConfig):
@@ -278,8 +241,7 @@ def _rep_profile(evaluator, rep: Representative, dim: int, cfg: DetectConfig):
         if order <= cfg.full_order:
             cands = [tuple(c) for c in combinations(range(dim), order)]
         else:
-            prev = sorted(raw[order - 1].items(), key=lambda kv: (-abs(kv[1]), kv[0]))
-            top = tuple(s for s, _ in prev[: cfg.top_k])
+            top = tuple(s for s, _ in _by_strength(raw[order - 1].items())[: cfg.top_k])
             parents[order] = top
             cands = sorted(
                 {tuple(sorted(set(p) | {j})) for p in top for j in range(dim) if j not in p}
@@ -296,7 +258,9 @@ def _aggregate(
     cfg: DetectConfig,
 ) -> dict[int, tuple[tuple[tuple[int, ...], float], ...]]:
     """Combine per-representative raw values into one strength per subset,
-    aggregating only over the representatives that scored it."""
+    aggregating only over the representatives that scored it; regression
+    and squared_multiclass square each value first."""
+    square = cfg.task == "regression" or cfg.squared_multiclass
     agg = {
         "mean": lambda v: float(np.mean(v)),
         "median": lambda v: float(np.median(v)),
@@ -309,22 +273,13 @@ def _aggregate(
         union = sorted({s for lab in labels for s in profiles[lab].get(order, {})})
         rows = []
         for s in union:
-            vals = [
-                _transform(cfg, profiles[lab][order][s])
-                for lab in labels
-                if s in profiles[lab].get(order, {})
-            ]
+            raw = [profiles[lab][order][s] for lab in labels if s in profiles[lab].get(order, {})]
+            vals = [v * v for v in raw] if square else raw
             rows.append((s, float(agg(vals))))
-        rows.sort(key=lambda kv: (-abs(kv[1]), kv[0]))
-        orders[order] = tuple(rows)
+        orders[order] = tuple(_by_strength(rows))
     return orders
 
 
-# The least estimated work (``_lattice_cells``) worth a process of its
-# own.  A split costs 10-35 ms over its shares on 2 cores at 70 MB RSS: a
-# fork, first writes to inherited pages, the uneven shares.  Measured
-# there, it slowed every network's detect of up to 1.05M cells; from 2.4M
-# cells one input won in one run and lost in the next (a shared host).
 SHARE_MIN_CELLS = 1 << 20
 
 
@@ -349,17 +304,11 @@ def _lattice_cells(model, dim: int, cfg: DetectConfig) -> int:
 
 def _share_count(jobs: int, cells: int) -> int:
     """The number of processes to score ``jobs`` representatives on, with
-    ``cells`` the estimated work of all of them: one per CPU this process
-    may use, at most one per job and one per SHARE_MIN_CELLS, on Linux
-    while no other thread runs (a fork copies the calling thread only);
-    else 1.
-
-    Also 1 inside a multiprocessing child: a daemonic pool worker may not
-    start children, and a job that some pool already placed on a CPU
-    should not fork more processes than there are CPUs.  The CPUs are
-    those of ``os.sched_getaffinity``, which does not see a cgroup CPU
-    quota (``cpu.max``): under a quota smaller than the affinity set, the
-    shares compete for the quota's time."""
+    ``cells`` the estimated work of all of them (``_lattice_cells``): one
+    per CPU in ``os.sched_getaffinity``, at most one per job and one per
+    SHARE_MIN_CELLS, on Linux while no other thread runs (a fork copies
+    the calling thread only) and outside a multiprocessing child (a
+    daemonic pool worker may not start children); else 1."""
     if not sys.platform.startswith("linux") or threading.active_count() != 1:
         return 1
     mp = sys.modules.get("multiprocessing")
@@ -382,13 +331,19 @@ def _profiles(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectCo
     workers = []
     try:
         for share in shares[1:]:
-            fd_r, fd_w = os.pipe()
-            pid = os.fork()
-            if pid == 0:
-                os.close(fd_r)
-                _score_in_worker(fd_w, evaluator, share, dim, cfg)
-            os.close(fd_w)
-            workers.append((pid, os.fdopen(fd_r, "rb")))
+            # an interrupt raised before the worker is listed would orphan it
+            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
+            try:
+                fd_r, fd_w = os.pipe()
+                pid = os.fork()
+                if pid == 0:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(fd_r)
+                    _score_in_worker(fd_w, evaluator, share, dim, cfg)
+                os.close(fd_w)
+                workers.append((pid, os.fdopen(fd_r, "rb")))
+            finally:
+                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
         done = [[_rep_profile(evaluator, rep, dim, cfg) for rep in shares[0]]]
         while workers:
             pid, pipe = workers[0]
@@ -435,13 +390,13 @@ def _score_in_worker(fd: int, evaluator, share, dim: int, cfg: DetectConfig) -> 
         os._exit(status)
 
 
-def _profile_pass(model, data: Dataset, cfg: DetectConfig, *, split: bool = True):
+def _profile_pass(model, data: Dataset, cfg: DetectConfig):
     """Score every configured representative once, on as many processes
-    as ``_share_count`` gives for their estimated work (see ``_profiles``),
-    or on one unless ``split``.  Returns the representatives in canonical
-    order, their raw values by order, and the top-k parents each one
-    extended at orders beyond full_order.  Domain errors are warned of
-    here, in representative order, whichever process met them."""
+    as ``_share_count`` gives for their estimated work (see ``_profiles``).
+    Returns the representatives in canonical order, their raw values by
+    order, and the top-k parents each one extended at orders beyond
+    full_order.  Domain errors are warned of here, in representative
+    order, whichever process met them."""
     check_derivative_order(model, cfg.max_order)
     if isinstance(model, Mlp):
         if model.config.input_dim != data.dim:
@@ -452,7 +407,7 @@ def _profile_pass(model, data: Dataset, cfg: DetectConfig, *, split: bool = True
             raise ValueError("normalize the dataset before detecting on a trained model")
     evaluator = _make_evaluator(model, cfg.task, cfg.class_index, cfg.use_logit)
     reps = representative_samples(data, cfg.representatives, cfg.seed)
-    w = _share_count(len(reps), len(reps) * _lattice_cells(model, data.dim, cfg)) if split else 1
+    w = _share_count(len(reps), len(reps) * _lattice_cells(model, data.dim, cfg))
     results = _profiles(evaluator, reps, data.dim, cfg, w)
     for _, _, dropped in results:
         for n in dropped:
@@ -497,10 +452,7 @@ def verify_extension_schedule(ranking: InteractionRanking) -> int:
         by_label = ranking.top_parents.get(order, {})
         for subset, _ in rows:
             s = set(subset)
-            ok = any(
-                any(set(p) < s for p in parents) for parents in by_label.values()
-            )
-            if not ok:
+            if not any(set(p) < s for parents in by_label.values() for p in parents):
                 raise ValueError(
                     f"order-{order} subset {subset} contains no top-{cfg.top_k} parent"
                 )
@@ -526,13 +478,11 @@ def aggregation_sweep(
     aggregation: (2^6 - 1) * 5 = 315 rows, sorted by descending score.
 
     Each representative's candidate schedule depends only on its own
-    local values, so all six profiles are computed once and the 315
-    combinations just re-aggregate them.  The profiles are scored in one
-    process: the re-aggregation is nine tenths of a default sweep, and
-    after a split pass it ran slower by more than the split saved.
+    local values, so all six profiles are computed once, by detect's
+    profile pass, and the 315 combinations just re-aggregate them.
     """
     base = replace(cfg, representatives=REPRESENTATIVE_LABELS)
-    reps, profiles, parents = _profile_pass(model, data, base, split=False)
+    reps, profiles, parents = _profile_pass(model, data, base)
     rows = []
     for mask in range(1, 1 << len(REPRESENTATIVE_LABELS)):
         labels = tuple(
@@ -541,7 +491,7 @@ def aggregation_sweep(
         for agg in AGGREGATION_LABELS:
             combo = replace(base, representatives=labels, aggregation=agg)
             ranking = _ranking(reps, profiles, parents, combo)
-            name = f"{_AGG_DISPLAY[agg]} Of {'-'.join(_REP_DISPLAY[l] for l in labels)}"
+            name = f"{agg.capitalize()} Of {'-'.join(_REP_DISPLAY[l] for l in labels)}"
             rows.append(SweepRow(name, labels, agg, float(score_fn(ranking))))
     rows.sort(key=lambda r: (-r.score, r.label))
     return rows

@@ -128,6 +128,7 @@ def pairwise_suite(
     in for the sample-train-detect chain."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
+    functions = tuple(functions)  # an iterator would be spent by the checks below
     if not functions:
         raise ValueError("functions must name at least one benchmark")
     for fid in functions:

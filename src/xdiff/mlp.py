@@ -3,33 +3,18 @@
 The model is a plain affine stack with GELU (or ReLU) hidden activations
 and a linear head, trained by minibatch Adam or SGD with early stopping
 on a validation split.  Everything is seeded, so a given (data, config)
-pair reproduces bit-identical weights.  The matrix products would sum in
-another order at another OpenBLAS thread count, so importing xdiff pins
-OpenBLAS to one thread (``blas``); where it cannot (numpy loaded first
-with a BLAS whose setter it does not find) it warns once, and the
-weights then depend on the thread count.
+pair reproduces bit-identical weights while OpenBLAS runs on one thread,
+as importing xdiff sets it (``blas``, which warns where it cannot).
 
-``forward`` evaluates plain arrays.  ``forward_lattice`` pushes a batch
-of seeded subset-lattice rows through the same affine and activation
-stack, so any mixed partial derivative of the trained network is
-available exactly; it is the one route from seeded rows into a model,
-and it hands a callable model to ``autodiff.lattice_call``.
-GELU uses the exact erf form, never the tanh approximation.  The plain
-pass, the lattice pass and training's backward pass all read the
-activation from one derivative table in ``autodiff`` (for GELU a closed
-form: Hermite polynomials times the normal density), so training takes
-each layer's value and slope from a single call.
+``forward`` evaluates plain arrays; ``forward_lattice`` pushes seeded
+subset-lattice rows through the same stack, so any mixed partial of the
+trained network is available exactly.  GELU uses the exact erf form.
+The plain pass, the lattice pass and training's backward pass all read
+the activation from one derivative table in ``autodiff``.
 
-Datasets are plain feature/target matrices with scale-only
-normalization: each feature column is divided by its population standard
-deviation; means are recorded but not subtracted unless centering is
-requested explicitly.  A normalized ``Dataset`` holds the ``Normalizer``
-that scaled it, and a checkpoint stores it.  Every JSON artifact is
-written by ``write_json``, every CSV by ``write_csv``, whole or not at
-all (``replacing``).  ``load_csv`` and ``save_csv`` stream their rows in
-fixed blocks, so only one block's cells are ever Python objects: a
-save's memory is one block beside the dataset, a load's one block plus
-the matrix, held twice while its parsed blocks are joined.
+Datasets are feature/target matrices with scale-only normalization.
+Every JSON and CSV artifact is written whole or not at all
+(``replacing``).
 """
 
 from __future__ import annotations
@@ -89,9 +74,7 @@ def check_derivative_order(model, order: int) -> None:
         )
 
 
-# ---------------------------------------------------------------------------
-# Datasets
-# ---------------------------------------------------------------------------
+# --- Datasets --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -287,9 +270,7 @@ def load_csv(path) -> Dataset:
     return Dataset(mat[:, :split], mat[:, split:])
 
 
-# ---------------------------------------------------------------------------
-# Model
-# ---------------------------------------------------------------------------
+# --- Model -----------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -334,12 +315,8 @@ class Mlp:
 
 def init_mlp(cfg: MlpConfig) -> Mlp:
     """Fan-in scaled uniform weights (bound 1/sqrt(fan_in)), zero biases.
-
-    The modest bound matters beyond optimization speed: larger-gain
-    variants leave high-frequency initialization noise in the fitted
-    net, which shows up directly in its second and higher derivatives
-    and drowns out weak interactions downstream.
-    """
+    A larger gain leaves initialization noise in the fitted net's higher
+    derivatives, which drowns out weak interactions."""
     rng = np.random.default_rng(cfg.seed)
     dims = [cfg.input_dim, *cfg.hidden, cfg.output_dim]
     weights, biases = [], []
@@ -373,12 +350,10 @@ def row_chunks(model, rows: int, inputs: int, t: int) -> list[tuple[int, int]]:
     callable or an ``Mlp`` without hidden layers (their chunks are seeded
     densely), and F = max(1, floor(CHUNK_BYTES / (W * 2^t * 8))) the rows
     that fit in CHUNK_BYTES, there are min(ceil(rows / F), floor(rows * W
-    / CHUNK_MIN_COLUMNS)) chunks, and at least one.  CHUNK_BYTES (1 MiB)
-    keeps each coefficient array of a chunk within a 2 MiB L2 cache, and
-    bounds a pass's peak memory by the chunk rather than the batch.
-    CHUNK_MIN_COLUMNS keeps at least 8192 columns (rows times width) in
-    each chunk, so numpy's ~1 us per call stays small against the work of
-    each elementwise call.  A chunk given back to this rule is one chunk.
+    / CHUNK_MIN_COLUMNS)) chunks, and at least one: a pass's peak memory
+    is bounded by the chunk, and each numpy call has at least
+    CHUNK_MIN_COLUMNS columns of work.  A chunk given back to this rule
+    is one chunk.
     """
     width = inputs
     if isinstance(model, Mlp) and model.config.hidden:
@@ -399,17 +374,11 @@ def forward_lattice(model, tags: np.ndarray, t: int, *, value, bank, top_only=Fa
     and gives (rows, 1, 2^t).  ``top_only`` returns the full-mask
     coefficient alone, (rows, output_dim).
 
-    An ``Mlp``'s first layer takes the value and bank columns through
-    one gemm with W0 in the per-row (fan_out, inputs) @ (inputs, 2^t)
-    shape, whose columns do not depend on their position or on the other
-    columns, and each row chunk's chain rule gathers them by tag.  A
-    later layer's input is dropped once its z is formed, and
-    lattice_compose writes level 0 into z (``overwrite_g``).  With
-    ``top_only`` the last hidden layer sums level 0's full mask alone,
-    and the output gemm keeps its (out, width) @ (width, 2^t) shape.
-    Chunks move no finite result's bytes: the live blocks a chunk drops
-    add +-0 * x terms, and lattice_compose's final +0.0 clears the sign
-    of a zero.
+    The rows run in ``row_chunks``.  Each row has the bytes of the dense
+    seeded pass of that row alone wherever its coefficients are finite:
+    an ``Mlp``'s first layer is one gemm of W0 in the per-row (fan_out,
+    inputs) @ (inputs, 2^t) shape, whose columns do not depend on their
+    position, and the blocks a chunk drops add only +-0 * x terms.
     """
     tags = np.asarray(tags, dtype=np.intp)
     isnet = isinstance(model, Mlp)
@@ -462,12 +431,8 @@ def _seeded(value: np.ndarray, bank: np.ndarray, tags: np.ndarray, t: int) -> np
 
 def forward(model: Mlp, x):
     """Evaluate the network on a single point (1d array) or a batch (2d).
-
-    Derivatives come from ``forward_lattice`` instead, whose [..., 0]
-    slot equals this pass up to rounding: each activation's value is
-    the same expression, but the affine maps sum in another order (the
-    tests hold the two to 1e-12 relative).
-    """
+    The [..., 0] slot of ``forward_lattice`` equals this pass to 1e-12
+    relative, as the tests hold it: its affine maps sum in another order."""
     arr = np.asarray(x, dtype=np.float64)
     single = arr.ndim == 1
     h = arr[None, :] if single else arr
@@ -527,9 +492,7 @@ def _softmax(z: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-# ---------------------------------------------------------------------------
-# Training
-# ---------------------------------------------------------------------------
+# --- Training --------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -602,20 +565,13 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     folded back into the last layer afterwards and the reported losses
     are in raw target units.  Wider heads are trained as classifiers with
     softmax cross-entropy on one-hot (or soft) target rows.  Returns the
-    weights of the best validation epoch.
+    weights of the best validation epoch.  A non-finite training or
+    validation loss raises TrainingError, naming its epoch.
 
-    Beside the dataset and its standardized targets, train holds the
-    validation rows and the split's indices; the parameters, their
-    gradient, Adam's moments and two scratch vectors as flat vectors
-    (every weight, bias and gradient a view into one); the best
-    parameters; each batch size's layer buffers; and the validation
-    pass's buffers (``_forward_buffers``).  A step gathers its batch from
-    the dataset by index, fills those buffers through ``out=``, and
-    updates the flat vector in place in the operand order of a per-array
-    update, so the bytes are those of one.
-
-    Each epoch ends with a validation pass over the current parameters.
-    A non-finite training or validation loss raises, naming its epoch.
+    No copy of the training split is made: a step gathers its batch by
+    index, and updates the parameters as one flat vector in place, in
+    the operand order of a per-array update, so the bytes are those of
+    one.
     """
     if not data.normalized:
         raise ValueError("train expects a normalized dataset")
@@ -749,9 +705,7 @@ def train(data: Dataset, mcfg: MlpConfig, tcfg: TrainConfig) -> tuple[Mlp, Train
     return Mlp(best_weights, best_biases, mcfg), report
 
 
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
+# --- Checkpoints -----------------------------------------------------------
 
 
 def save_model(model: Mlp, path, normalizer: Normalizer | None = None) -> None:

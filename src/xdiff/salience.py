@@ -8,21 +8,17 @@ order-l tensor is a single multilinear directional derivative, which one
 lattice row with l tags computes: tag 0 carries x_i's coordinates as the
 direction (on vector i alone for the local variant, replicated across
 every vector slot otherwise) and each further tag carries an all-ones
-direction over one vector's coordinates.  Those further tags are
-interchangeable, so entry (i, j, k, ...) is the same mixed partial for
-every ordering of j, k, ...: one row per vector i and multiset of the
-others is evaluated, and every ordering's cell is a copy of it.
+direction over one vector's coordinates.
 
 Models can be ``Mlp`` instances over the flattened n*d input or
 callables taking the grid as a list of n rows of d scalars, which is how
 analytic toys plug in.  Either way one batched lattice pass computes a
-whole tensor: a callable is called once, on rows of batched CrossDuals
-holding one index tuple per batch row.
+whole tensor.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 from itertools import combinations, combinations_with_replacement, permutations
 
@@ -77,8 +73,6 @@ class CamOptions:
 class SalienceTensor:
     order: int
     values: np.ndarray
-    symmetrized: bool = False
-    diagonal_zeroed: bool = False
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
@@ -194,12 +188,9 @@ def taylor_cam(
     per-vector importance, ``grad_cam`` of every vector, and is neither
     squared nor folded, so its tuples rank by signed importance, as
     Grad-CAM does; order 2 weights second cross partials; each further
-    order differentiates along one more vector's coordinates.
-
-    One lattice pass evaluates one row per vector i and multiset of the
-    other l-1 indices (sorted), and the cells (i, *rest) for every
-    ordering of rest are filled from it, so the directed cells are
-    exactly symmetric in their trailing l-1 indices, bit for bit."""
+    order differentiates along one more vector's coordinates.  The
+    directed cells are symmetric in their trailing l-1 indices, bit for
+    bit (see ``_cell_schedule``)."""
     check_derivative_order(model, order)
     n = grid.n
     tuples, cells, source = _cell_schedule(n, order, opts.zero_diagonal)
@@ -217,9 +208,7 @@ def taylor_cam(
         values = raw * raw
     else:
         values = raw
-    return SalienceTensor(
-        order, values, symmetrized=opts.symmetrize, diagonal_zeroed=opts.zero_diagonal
-    )
+    return SalienceTensor(order, values)
 
 
 def hessian_cam(model, grid: FeatureGrid, opts: CamOptions = CamOptions()) -> SalienceTensor:
@@ -248,15 +237,6 @@ def _combine_mutual(raw: np.ndarray, order: int, opts: CamOptions) -> np.ndarray
     if opts.square and opts.sum_before_square:
         fold *= fold
     return fold
-
-
-def symmetrize(tensor: SalienceTensor) -> SalienceTensor:
-    """Fold mutual cells of an unsymmetrized tensor; a second call
-    returns the tensor unchanged."""
-    if tensor.symmetrized:
-        return tensor
-    values = _combine_mutual(tensor.values, tensor.order, CamOptions(square=False))
-    return replace(tensor, values=values, symmetrized=True)
 
 
 def top_interactions(

@@ -6,6 +6,7 @@ import signal
 import sys
 import threading
 import time
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -15,14 +16,17 @@ from xdiff import __main__ as xdiff_main
 from xdiff import cli
 from xdiff.autodiff import SingularityError
 from xdiff.cli import main
+from xdiff.detect import DetectConfig
 from xdiff.mlp import (
     Dataset,
     MlpConfig,
     Normalizer,
+    TrainConfig,
     init_mlp,
     save_csv,
     save_model,
 )
+from xdiff.salience import CamOptions
 
 
 def _read_run(out_dir):
@@ -655,3 +659,53 @@ def test_module_invocation_runs_cli(module, xdiff_cli):
     proc = xdiff_cli("--help", module=module)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: xdiff ")
+
+
+# Each subcommand's required flags, and the config-dataclass field behind
+# each flag that has one.
+_FIELD_BACKED_FLAGS = {
+    "train": (["--data", "d.csv"], {
+        "hidden": (MlpConfig, "hidden"),
+        "activation": (MlpConfig, "activation"),
+        "output_dim": (MlpConfig, "output_dim"),
+        "learning_rate": (TrainConfig, "learning_rate"),
+        "epochs": (TrainConfig, "max_epochs"),
+        "patience": (TrainConfig, "patience"),
+        "batch_size": (TrainConfig, "batch_size"),
+        "val_fraction": (TrainConfig, "val_fraction"),
+        "optimizer": (TrainConfig, "optimizer"),
+    }),
+    "detect": (["--model", "m.json", "--data", "d.csv"], {
+        "max_order": (DetectConfig, "max_order"),
+        "full_order": (DetectConfig, "full_order"),
+        "top_k": (DetectConfig, "top_k"),
+        "reps": (DetectConfig, "representatives"),
+        "agg": (DetectConfig, "aggregation"),
+        "task": (DetectConfig, "task"),
+        "class_index": (DetectConfig, "class_index"),
+        "use_logit": (DetectConfig, "use_logit"),
+        "squared_multiclass": (DetectConfig, "squared_multiclass"),
+    }),
+    "sweep": (["--function", "F1"], {
+        "epochs": (TrainConfig, "max_epochs"),
+        "max_order": (DetectConfig, "max_order"),
+        "full_order": (DetectConfig, "full_order"),
+        "top_k": (DetectConfig, "top_k"),
+    }),
+    "cam": (["--model", "m.json", "--grid", "g.csv"], {
+        f.name: (CamOptions, f.name) for f in fields(CamOptions)
+    }),
+    "cam-demo": ([], {"patience": (TrainConfig, "patience")}),
+}
+# flags that carry a tuple field as text
+_FLAG_TEXT = {"hidden": cli._parse_hidden, "reps": lambda text: tuple(text.split(","))}
+
+
+@pytest.mark.parametrize("sub", sorted(_FIELD_BACKED_FLAGS))
+def test_flag_defaults_are_the_config_fields(sub):
+    required, backed = _FIELD_BACKED_FLAGS[sub]
+    args = cli.build_parser().parse_args([sub, *required])
+    for dest, (cls, name) in backed.items():
+        default = next(f.default for f in fields(cls) if f.name == name)
+        got = _FLAG_TEXT.get(dest, lambda v: v)(getattr(args, dest))
+        assert got == default, (sub, dest)

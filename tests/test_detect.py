@@ -1,5 +1,6 @@
 import os
 import re
+import signal
 import subprocess
 import sys
 import threading
@@ -579,6 +580,26 @@ def test_package_attribute_detect_is_the_module():
     assert "detect" not in xdiff.__all__
 
 
+def test_package_all_is_its_public_attributes_that_are_not_modules():
+    """``from xdiff import *`` binds ``__all__``; without it, it would also
+    bind the submodules, ``detect`` among them, over a caller's names."""
+    public = {
+        name for name, value in vars(xdiff).items()
+        if not name.startswith("_") and not isinstance(value, type(xdiff))
+    }
+    assert len(set(xdiff.__all__)) == len(xdiff.__all__)
+    assert set(xdiff.__all__) == public
+
+
+def test_ranking_top_is_the_head_of_one_order():
+    model, data = _random_setup(n=200)
+    ranking = detect(model, data, DetectConfig(max_order=3))
+    assert len(ranking.orders[2]) > 5
+    assert ranking.top(2, 5) == ranking.orders[2][:5]
+    assert ranking.top(3, 10**6) == ranking.orders[3]
+    assert ranking.top(4, 5) == ()
+
+
 # --- representatives scored on w processes: the caller and w - 1 forked workers
 
 
@@ -651,6 +672,8 @@ def test_lattice_cells_bound_the_candidates_of_each_order():
     two = 2 * detect_mod.SHARE_MIN_CELLS
     assert 4 * detect_mod._lattice_cells(default, 10, DetectConfig(max_order=3)) < two
     assert 4 * detect_mod._lattice_cells(default, 10, DetectConfig(max_order=4)) >= two
+    # an analytic sweep (six representatives of a 10-input callable) never forks
+    assert 6 * detect_mod._lattice_cells(lambda z: z[0], 10, DetectConfig()) == 231_600 < two
 
 
 def _detect_in_pool_worker(cfg):
@@ -697,17 +720,66 @@ def test_scores_on_two_processes_have_the_bytes_of_one(monkeypatch):
         assert got[0] == got[1]
 
 
-def test_sweep_scores_in_one_process(monkeypatch):
-    """Where detect takes two processes, aggregation_sweep takes one."""
-    _force_shares(monkeypatch, 2)
+def test_sweep_splits_as_detect_does(monkeypatch):
+    """aggregation_sweep reaches _share_count as detect does: on two CPUs
+    with work enough for two shares both score on two processes, and the
+    sweep's 315 rows and every ranking it scores have the bytes of one."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     shares = []
     real = detect_mod._profiles
     monkeypatch.setattr(detect_mod, "_profiles", lambda *a: shares.append(a[-1]) or real(*a))
     model, data = _random_setup()
     cfg = DetectConfig(max_order=3)
-    aggregation_sweep(model, data, cfg, lambda r: 0.0)
+
+    def sweep():
+        rankings = []
+
+        def score(r):
+            rankings.append(_ranking_bytes(r))
+            return float(r.orders[2][0][1])
+
+        rows = aggregation_sweep(model, data, cfg, score)
+        return [(r.label, r.representatives, r.aggregation, np.float64(r.score).tobytes())
+                for r in rows], rankings
+
+    monkeypatch.setattr(detect_mod, "SHARE_MIN_CELLS", 1)
+    split = sweep()
     detect(model, data, cfg)
-    assert shares == [1, 2]
+    monkeypatch.setattr(detect_mod, "SHARE_MIN_CELLS", 1 << 62)
+    one = sweep()
+    assert shares == [2, 2, 1]
+    assert len(split[0]) == len(split[1]) == 315
+    assert split == one
+
+
+def test_an_interrupt_as_a_worker_forks_still_reaps_it(monkeypatch):
+    """Ctrl-C landing just after the fork, before the caller has listed
+    its worker, is raised once the worker is listed: the worker is
+    killed and reaped, not left to run on."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    _force_shares(monkeypatch, 2)
+    model, data = _random_setup()
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            detect(model, data, DetectConfig(max_order=3))
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
 
 
 def test_domain_errors_in_both_shares_warn_in_representative_order(monkeypatch):

@@ -281,6 +281,17 @@ def test_pairwise_suite_with_injected_pipeline():
     assert report.rows()[-1] == ("average", 1.0, 0.0)
 
 
+def test_pairwise_suite_takes_a_one_shot_iterator():
+    """The name check must not spend the functions the trials run over."""
+
+    def pipeline(fid, seed):
+        return _ranking({2: [(p, 1.0) for p in sorted(bm.pairwise_truth(fid))]})
+
+    report = pairwise_suite(functions=iter(["F1"]), trials=2, pipeline=pipeline)
+    assert report.per_function == {"F1": (1.0, 1.0)}
+    assert report.overall_mean() == 1.0
+
+
 def test_pairwise_suite_rejects_bad_arguments():
     with pytest.raises(ValueError, match="at least 1"):
         pairwise_suite(trials=0)

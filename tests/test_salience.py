@@ -17,7 +17,6 @@ from xdiff.salience import (
     hessian_cam,
     render_heatmap,
     salience_document,
-    symmetrize,
     taylor_cam,
     top_interactions,
 )
@@ -92,7 +91,6 @@ def test_hessian_cam_bilinear_worked_example():
     # default symmetrization folds the two squared cells together
     sym = hessian_cam(bilinear, grid)
     assert sym.values[0, 1] == sym.values[1, 0] == pytest.approx(36.0 + 2.25)
-    assert sym.symmetrized and sym.diagonal_zeroed
 
 
 def test_additive_model_has_exactly_zero_salience():
@@ -399,15 +397,6 @@ def test_ranking_matches_the_permutation_walk():
                 assert all(type(v) is float for _, v in got)
 
 
-def test_symmetrize_is_idempotent():
-    vals = np.array([[0.0, 3.0], [5.0, 0.0]])
-    t = SalienceTensor(2, vals)
-    once = symmetrize(t)
-    twice = symmetrize(once)
-    np.testing.assert_array_equal(once.values, [[0.0, 8.0], [8.0, 0.0]])
-    assert twice is once
-
-
 def test_sum_before_square_option():
     grid = FeatureGrid(np.array([[1.0, 2.0, 3.0], [0.5, -1.0, 2.0]]))
     t = hessian_cam(bilinear, grid, CamOptions(sum_before_square=True))
@@ -494,7 +483,7 @@ def test_tensor_validation():
 def test_render_heatmap_deterministic(tmp_path):
     vals = np.zeros((4, 4))
     vals[0, 1] = vals[1, 0] = 2.5
-    t = SalienceTensor(2, vals, symmetrized=True)
+    t = SalienceTensor(2, vals)
     p1, p2 = tmp_path / "a.svg", tmp_path / "b.svg"
     render_heatmap(t, p1, layout=(2, 2))
     render_heatmap(t, p2, layout=(2, 2))
@@ -518,7 +507,7 @@ def test_render_heatmap_errors(tmp_path):
 
 
 def test_salience_document_shape():
-    t = SalienceTensor(2, np.array([[0.0, 4.0], [4.0, 0.0]]), symmetrized=True)
+    t = SalienceTensor(2, np.array([[0.0, 4.0], [4.0, 0.0]]))
     doc = salience_document(t, CamOptions(), top=3)
     assert doc["order"] == 2
     assert doc["tuples"] == [{"set": [0, 1], "salience": 4.0}]
