@@ -85,7 +85,7 @@ class _Parser(argparse.ArgumentParser):
 
 class Run:
     """run.json lifecycle: created as running, finished as ok or error,
-    collecting artifact hashes along the way."""
+    recording each artifact's hash as it is written."""
 
     def __init__(self, out_dir: Path, subcommand: str, config: dict):
         self.out_dir = out_dir
@@ -100,15 +100,20 @@ class Run:
     def _flush(self):
         write_json(self.out_dir / "run.json", self.doc)
 
-    def artifact(self, path: Path):
+    def write(self, name: str, writer) -> None:
+        """Write artifact ``name`` (under out_dir unless absolute) by
+        ``writer(path)`` and record its sha256 under its out_dir-relative
+        name, or its file name if it lies elsewhere."""
+        path = self.out_dir / name
+        writer(path)
         digest = hashlib.sha256()
         with open(path, "rb") as fh:  # fixed-size reads: a large CSV is never held whole
             while chunk := fh.read(1 << 20):
                 digest.update(chunk)
         try:
-            name = Path(path).relative_to(self.out_dir).as_posix()
+            name = path.relative_to(self.out_dir).as_posix()
         except ValueError:
-            name = Path(path).name
+            name = path.name
         self.doc["artifacts"][name] = digest.hexdigest()
 
     def result(self, payload: dict):
@@ -131,11 +136,6 @@ def _resolve_seed(value) -> int:
         except ValueError:
             raise CliError(f"XDIFF_SEED must be an integer, got {env!r}") from None
     return 0
-
-
-def _out_path(args, name: str) -> Path:
-    p = Path(name)
-    return p if p.is_absolute() else Path(args.out_dir) / p
 
 
 def _parse_hidden(text: str) -> tuple[int, ...]:
@@ -199,12 +199,9 @@ def _load_grid(path, layout) -> FeatureGrid:
 def _cmd_gen_data(args, run: Run) -> None:
     fid = args.function.upper()
     data = bm.sample_dataset(fid, args.samples, args.seed)
-    data_path = _out_path(args, args.out or f"{fid.lower()}_data.csv")
-    truth_path = _out_path(args, args.truth_out or f"{fid.lower()}_truth.json")
-    save_csv(data, data_path)
-    write_json(truth_path, bm.truth_document(fid))
-    run.artifact(data_path)
-    run.artifact(truth_path)
+    run.write(args.out or f"{fid.lower()}_data.csv", lambda p: save_csv(data, p))
+    run.write(args.truth_out or f"{fid.lower()}_truth.json",
+              lambda p: write_json(p, bm.truth_document(fid)))
 
 
 def _cmd_train(args, run: Run) -> None:
@@ -227,9 +224,7 @@ def _cmd_train(args, run: Run) -> None:
     )
     model, report = train(data, mcfg, tcfg)
     log.info("train: best epoch %d, val loss %.6g", report.best_epoch, report.best_val_loss)
-    out = _out_path(args, args.out)
-    save_model(model, out, normalizer=data.normalizer)
-    run.artifact(out)
+    run.write(args.out, lambda p: save_model(model, p, normalizer=data.normalizer))
     run.result(
         {
             "best_epoch": report.best_epoch,
@@ -261,9 +256,7 @@ def _cmd_detect(args, run: Run) -> None:
     # the checkpoint's stored scaling when present, a fitted one otherwise
     data = Dataset(norm.apply(data.features), data.targets, norm) if norm else normalize(data)
     ranking = detect(model, data, _detect_config(args))
-    out = _out_path(args, args.out)
-    write_json(out, ranking_document(ranking))
-    run.artifact(out)
+    run.write(args.out, lambda p: write_json(p, ranking_document(ranking)))
 
 
 def _cmd_sweep(args, run: Run) -> None:
@@ -281,9 +274,8 @@ def _cmd_sweep(args, run: Run) -> None:
     cfg = DetectConfig(max_order=args.max_order, full_order=args.full_order,
                        top_k=args.top_k, seed=args.seed)
     rows = aggregation_sweep(model, data, cfg, lambda r: mean_truth_auc(r, truth))
-    out = _out_path(args, args.out)
-    write_csv(out, ("label", "score"), [(r.label, r.score) for r in rows])
-    run.artifact(out)
+    run.write(args.out,
+              lambda p: write_csv(p, ("label", "score"), [(r.label, r.score) for r in rows]))
 
 
 def _cmd_suite(args, run: Run) -> None:
@@ -294,9 +286,7 @@ def _cmd_suite(args, run: Run) -> None:
         samples=args.samples,
         seed=args.seed,
     )
-    out = _out_path(args, args.out)
-    write_csv(out, ("id", "mean_auc", "std"), report.rows())
-    run.artifact(out)
+    run.write(args.out, lambda p: write_csv(p, ("id", "mean_auc", "std"), report.rows()))
 
 
 def _cmd_cam(args, run: Run) -> None:
@@ -311,19 +301,15 @@ def _cmd_cam(args, run: Run) -> None:
         )
     opts = CamOptions(**{f.name: getattr(args, f.name) for f in fields(CamOptions)})
     tensor = taylor_cam(model, grid, args.order, opts)
-    out = _out_path(args, args.out)
-    write_json(out, salience_document(tensor, opts, args.top))
-    run.artifact(out)
+    run.write(args.out, lambda p: write_json(p, salience_document(tensor, opts, args.top)))
     if args.svg:
-        svg = _out_path(args, args.svg)
-        render_heatmap(tensor, svg, layout=grid.layout, top=args.top)
-        run.artifact(svg)
+        run.write(args.svg, lambda p: render_heatmap(tensor, p, layout=grid.layout, top=args.top))
 
 
-def _demo_trial(seed: int, args, out_dir: Path) -> dict:
+def _demo_trial(seed: int, args, run: Run) -> dict:
     """One planted-pair experiment: draw a pair, synthesize labels from
     it alone, train, and ask the averaged pairwise salience for its
-    top-1 pair."""
+    top-1 pair; with --svg, write and record its heatmap."""
     n, d = 9, 4
     rng = np.random.default_rng(seed)
     a, b = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
@@ -345,8 +331,8 @@ def _demo_trial(seed: int, args, out_dir: Path) -> dict:
     avg = SalienceTensor(2, acc)
     top = top_interactions(avg, 1)[0][0]
     if args.svg:
-        svg_path = out_dir / f"cam_demo_seed{seed}.svg"
-        render_heatmap(avg, svg_path, layout=(3, 3), top=1)
+        run.write(f"cam_demo_seed{seed}.svg",
+                  lambda p: render_heatmap(avg, p, layout=(3, 3), top=1))
     return {
         "seed": seed,
         "planted": [a, b],
@@ -360,9 +346,7 @@ def _cmd_cam_demo(args, run: Run) -> None:
     for flag in ("seeds", "grids", "test_grids", "patience"):
         if (value := getattr(args, flag)) < 1:
             raise CliError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
-    out_dir = Path(args.out_dir)
-    seeds = [args.seed + i for i in range(args.seeds)]
-    trials = [_demo_trial(s, args, out_dir) for s in seeds]
+    trials = [_demo_trial(args.seed + i, args, run) for i in range(args.seeds)]
     hits = sum(t["hit"] for t in trials)
     log.info("cam-demo: %d/%d planted pairs recovered", hits, len(trials))
     doc = {
@@ -371,12 +355,7 @@ def _cmd_cam_demo(args, run: Run) -> None:
         "seeds": len(trials),
         "trials": trials,
     }
-    out = _out_path(args, args.out)
-    write_json(out, doc)
-    run.artifact(out)
-    if args.svg:
-        for s in seeds:
-            run.artifact(out_dir / f"cam_demo_seed{s}.svg")
+    run.write(args.out, lambda p: write_json(p, doc))
     run.result({"hit_rate": doc["hit_rate"]})
 
 
@@ -533,21 +512,17 @@ def _run(args) -> int:
             raise CliError(f"--threads must be at least 1, got {args.threads}")
         args.func(args, run)
         run.finish("ok")
+        return 0
     except OSError as e:
-        run.finish("error", str(e))
-        print(f"error: {e}", file=sys.stderr)
-        return 2
+        error, code = str(e), 2
     except Exception as e:
         log.debug("%s failed", args.subcommand, exc_info=True)
-        run.finish("error", str(e))
-        print(f"error: {e}", file=sys.stderr)
-        return 1
+        error, code = str(e), 1
     except KeyboardInterrupt as e:
         error, code = ("terminated", 143) if isinstance(e, Terminated) else ("interrupted", 130)
-        run.finish("error", error)
-        print(f"error: {error}", file=sys.stderr)
-        return code
-    return 0
+    run.finish("error", error)
+    print(f"error: {error}", file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

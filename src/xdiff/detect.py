@@ -123,6 +123,8 @@ class InteractionRanking:
                     raise ValueError(f"non-finite strength for {subset} at order {order}")
 
     def top(self, order: int, k: int) -> tuple[tuple[tuple[int, ...], float], ...]:
+        if k < 0:
+            raise ValueError("k must be non-negative")
         return self.orders.get(order, ())[:k]
 
 
@@ -307,8 +309,9 @@ def _share_count(jobs: int, cells: int) -> int:
     ``cells`` the estimated work of all of them (``_lattice_cells``): one
     per CPU in ``os.sched_getaffinity``, at most one per job and one per
     SHARE_MIN_CELLS, on Linux while no other thread runs (a fork copies
-    the calling thread only) and outside a multiprocessing child (a
-    daemonic pool worker may not start children); else 1."""
+    the calling thread only) and outside a multiprocessing child (its
+    pool already fills the CPUs, so a split would oversubscribe them);
+    else 1."""
     if not sys.platform.startswith("linux") or threading.active_count() != 1:
         return 1
     mp = sys.modules.get("multiprocessing")

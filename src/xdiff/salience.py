@@ -242,17 +242,19 @@ def _combine_mutual(raw: np.ndarray, order: int, opts: CamOptions) -> np.ndarray
 def top_interactions(
     tensor: SalienceTensor, k: int, threshold: float | None = None
 ) -> list[tuple[tuple[int, ...], float]]:
-    """Distinct index sets ranked by salience, strongest first, ties
-    lexicographic.  Each set is reported once, at the strongest of its
-    permutation cells; sets with fewer distinct entries than the order
-    (diagonals) are not sets and never appear."""
+    """Distinct index sets ranked by salience, largest first, ties
+    lexicographic.  Each set is reported once, at its permutation cell of
+    largest magnitude (the first of equal ones), which on a non-negative
+    tensor is its largest cell and keeps the sign of an unsquared fold;
+    sets with fewer distinct entries than the order (diagonals) are not
+    sets and never appear."""
     if k < 0:
         raise ValueError("k must be non-negative")
     sets, cells = _index_sets(tensor.n, tensor.order)
     flat = tensor.values.ravel()
     best, *rest = flat[cells]
     for f in rest:
-        best = np.where(f > best, f, best)  # the first of equal cells, as max() keeps
+        best = np.where(np.abs(f) > np.abs(best), f, best)
     ranked = np.argsort(-best, kind="stable")  # sets are lexicographic already
     if threshold is not None:
         ranked = ranked[best[ranked] > threshold]

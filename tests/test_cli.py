@@ -83,6 +83,30 @@ def test_gen_data_writes_artifacts_and_hashes(tmp_path):
     assert truth["id"] == "F5"
 
 
+def test_run_json_lists_exactly_the_files_each_subcommand_wrote(tmp_path, small_csv):
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.4,-0.2\n0.1,0.9\n")
+    model = tmp_path / "train" / "model.json"
+    runs = {  # train first: detect and cam read its model
+        "train": ["--data", str(small_csv), "--hidden", "8", "--epochs", "2"],
+        "gen-data": ["--function", "F9", "--samples", "60"],
+        "detect": ["--model", str(model), "--data", str(small_csv), "--max-order", "3",
+                   "--top-k", "2"],
+        "sweep": ["--function", "F9", "--analytic", "--samples", "60", "--max-order", "3",
+                  "--top-k", "2"],
+        "suite": ["--functions", "F9", "--trials", "1", "--samples", "250"],
+        "cam": ["--model", str(model), "--grid", str(grid), "--svg", "heat.svg"],
+        "cam-demo": ["--seeds", "2", "--grids", "80", "--epochs", "2", "--test-grids", "1",
+                     "--hidden", "8"],
+    }
+    for sub, argv in runs.items():
+        out = tmp_path / sub
+        assert main([sub, *argv, "--seed", "0", "--out-dir", str(out)]) == 0, sub
+        written = {name: hashlib.sha256(data).hexdigest()
+                   for name, data in _tree_bytes(out).items() if name != "run.json"}
+        assert _read_run(out)["artifacts"] == written, sub
+
+
 def test_config_echo_contents(tmp_path):
     main([
         "gen-data", "--function", "F1", "--samples", "20",
@@ -575,6 +599,29 @@ def test_cam_demo_rejects_counts_below_one_before_training(tmp_path, monkeypatch
     assert run["status"] == "error"
     assert run["error"] == f"{flag} must be at least 1, got 0"
     assert run["artifacts"] == {}
+
+
+def test_a_failed_cam_demo_lists_the_svgs_it_wrote(tmp_path, monkeypatch):
+    real_train, calls = cli.train, []
+
+    def fail_on_the_second_seed(*args, **kwargs):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("second seed failed")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "train", fail_on_the_second_seed)
+    out = tmp_path / "demo"
+    code = main([
+        "cam-demo", "--seeds", "2", "--grids", "80", "--epochs", "2",
+        "--test-grids", "1", "--hidden", "8", "--seed", "4", "--out-dir", str(out),
+    ])
+    assert code == 1
+    run = _read_run(out)
+    assert (run["status"], run["error"]) == ("error", "second seed failed")
+    svg = (out / "cam_demo_seed4.svg").read_bytes()
+    assert run["artifacts"] == {"cam_demo_seed4.svg": hashlib.sha256(svg).hexdigest()}
+    assert not (out / "cam_demo_seed5.svg").exists()
 
 
 def test_cam_demo_writes_svgs_by_default(tmp_path):

@@ -598,6 +598,8 @@ def test_ranking_top_is_the_head_of_one_order():
     assert ranking.top(2, 5) == ranking.orders[2][:5]
     assert ranking.top(3, 10**6) == ranking.orders[3]
     assert ranking.top(4, 5) == ()
+    with pytest.raises(ValueError, match="k must be non-negative"):
+        ranking.top(2, -1)
 
 
 # --- representatives scored on w processes: the caller and w - 1 forked workers
@@ -682,8 +684,8 @@ def _detect_in_pool_worker(cfg):
 
 
 def test_detect_in_a_pool_worker_scores_in_that_worker(monkeypatch):
-    """A daemonic multiprocessing.Pool worker may not start children:
-    detect there scores in one process, with the bytes of the caller's
+    """In a multiprocessing.Pool worker, whose pool already fills the
+    CPUs, detect scores in one process, with the bytes of the caller's
     detect, though two CPUs and enough work for both are on offer."""
     import multiprocessing
 

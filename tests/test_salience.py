@@ -322,10 +322,11 @@ def combine_mutual_loops(raw, order, opts):
 
 
 def top_interactions_loops(tensor, k, threshold=None):
-    """``top_interactions`` as it was written, kept as the reference."""
+    """``top_interactions`` as a loop, kept as the reference: each set at
+    its first permutation cell of largest magnitude."""
     rows = []
     for c in combinations(range(tensor.n), tensor.order):
-        rows.append((c, max(float(tensor.values[p]) for p in permutations(c))))
+        rows.append((c, max((float(tensor.values[p]) for p in permutations(c)), key=abs)))
     if threshold is not None:
         rows = [r for r in rows if r[1] > threshold]
     rows.sort(key=lambda r: (-r[1], r[0]))
@@ -419,6 +420,17 @@ def test_top_interactions_zero_tensor_and_threshold():
     assert top_interactions(t, 10, threshold=0.0) == []
     rows = top_interactions(t, 10)
     assert [s for s, _ in rows] == [(0, 1), (0, 2), (1, 2)]  # lexicographic ties
+
+
+def test_top_interactions_reports_a_negative_unsquared_fold():
+    # the fold leaves -0.6 in (0, 1, 2) and 0.0 in its other permutation
+    # cells; the set is reported at -0.6, not at the largest cell
+    grid = FeatureGrid(np.array([[0.1], [0.1], [0.1], [0.2]]))
+    t = taylor_cam(lambda r: -r[0][0] * r[1][0] * r[2][0], grid, 3, CamOptions(square=False))
+    assert t.values[0, 1, 2] == -0.6 and t.values[0, 2, 1] == 0.0
+    assert top_interactions(t, 4) == [
+        ((0, 1, 3), 0.0), ((0, 2, 3), 0.0), ((1, 2, 3), 0.0), ((0, 1, 2), -0.6)
+    ]
 
 
 def test_argmax_stable_under_positive_scaling():
