@@ -164,17 +164,11 @@ def lattice_compose(
     row's value equals the first row's bit for bit; it is elementwise,
     so the bytes are those of the series over the whole batch.
     """
-    x0 = g[..., 0]
-    table.check(x0)
-    series = table.series(t, x0[:1] if _rows_equal(x0) else x0)
-    deriv = [np.broadcast_to(d, x0.shape) for d in series]
     gt = np.moveaxis(g, -1, 0).reshape(1 << t, -1)
-    live = np.any(gt != 0.0, axis=1)
-    masks = np.flatnonzero(live[1:]) + 1  # mask 0 is never a block B
+    masks = np.flatnonzero(np.any(gt[1:] != 0.0, axis=1)) + 1  # mask 0 is never a block B
     rows = dict(zip(masks.tolist(), gt[masks]))
     into = g.reshape(1 << t, -1) if overwrite_g else None
-    level = _compose_levels(deriv, rows, _live_chain_pairs(t, live.tobytes()), t, into, top_only)
-    return np.ascontiguousarray(np.moveaxis(level.reshape(g.shape[-1:] + x0.shape), 0, -1))
+    return _compose_levels(table, g[..., 0], rows, t, into, top_only)
 
 
 def _rows_equal(x0: np.ndarray) -> bool:
@@ -186,13 +180,18 @@ def _rows_equal(x0: np.ndarray) -> bool:
     return bool((x0 == first).all() and (np.signbit(x0) == np.signbit(first)).all())
 
 
-def _compose_levels(deriv: list, rows: dict, chain, t: int, top=None, top_only=False):
-    """lattice_compose's levels t..0 from the series f^(j)(g_0), each
-    shaped like g_0, and ``rows``, a contiguous copy of g[..., B] for each
-    block B of ``chain`` (a ``_live_chain_pairs``); it empties ``rows``.
-    Returns level 0 (with ``top_only`` its full-mask sum and zeros),
-    written into ``top`` when given, a (2^t, n) array that may share the
-    rows' source."""
+def _compose_levels(table, x0: np.ndarray, rows: dict, t: int, top=None, top_only=False):
+    """lattice_compose's levels t..0, mask-last, shaped x0.shape + (2^t,).
+
+    ``x0`` is g's value slot and ``rows`` holds a contiguous copy of
+    g[..., B] for each live mask B; it is emptied.  The domain check,
+    the series f^(j)(x0) and the live pairs of _chain_pairs are taken
+    here.  Level 0 is written into ``top`` when given, a (2^t, n) array
+    that may share the rows' source."""
+    table.check(x0)
+    series = table.series(t, x0[:1] if _rows_equal(x0) else x0)
+    deriv = [np.broadcast_to(d, x0.shape) for d in series]
+    chain = _live_chain_pairs(t, bytes(m in rows for m in range(1 << t)))
     n = deriv[0].size
     tmp = np.empty(n)
     below = None
@@ -218,10 +217,11 @@ def _compose_levels(deriv: list, rows: dict, chain, t: int, top=None, top_only=F
                 acc += tmp
         below = list(level)  # row views made once, not once per pair
     rows.clear()
+    del tmp  # before the mask-last copy: held through it, glibc trims and refaults the heap
     # Each sum starts from +0.0, so none is -0.0.  The sign of a zero
     # moves no other value, so setting it on level 0 alone suffices.
     level[1:] += 0.0
-    return level
+    return np.ascontiguousarray(np.moveaxis(level.reshape((1 << t,) + x0.shape), 0, -1))
 
 
 # --- Elementary function derivative tables ---------------------------------

@@ -103,18 +103,21 @@ class Run:
     def write(self, name: str, writer) -> None:
         """Write artifact ``name`` (under out_dir unless absolute) by
         ``writer(path)`` and record its sha256 under its out_dir-relative
-        name, or its file name if it lies elsewhere."""
+        name, or its file name if it lies elsewhere; a name that is run.json
+        or already recorded is refused before anything is written."""
         path = self.out_dir / name
+        try:
+            key = path.relative_to(self.out_dir).as_posix()
+        except ValueError:
+            key = path.name
+        if key == "run.json" or key in self.doc["artifacts"]:
+            raise CliError(f"artifact {name}: the name {key} is taken")
         writer(path)
         digest = hashlib.sha256()
         with open(path, "rb") as fh:  # fixed-size reads: a large CSV is never held whole
             while chunk := fh.read(1 << 20):
                 digest.update(chunk)
-        try:
-            name = path.relative_to(self.out_dir).as_posix()
-        except ValueError:
-            name = path.name
-        self.doc["artifacts"][name] = digest.hexdigest()
+        self.doc["artifacts"][key] = digest.hexdigest()
 
     def result(self, payload: dict):
         self.doc["result"] = payload
@@ -184,6 +187,13 @@ def _is_number(cell: str) -> bool:
     return True
 
 
+def _config(cls, args, **given):
+    """A ``cls`` from the flags named like its fields, with ``given`` (the
+    fields no such flag carries as they are) on top."""
+    flags = {f.name: getattr(args, f.name) for f in fields(cls) if hasattr(args, f.name)}
+    return cls(**{**flags, **given})
+
+
 def _load_grid(path, layout) -> FeatureGrid:
     rows = list(read_rows(path))
     if rows and not any(_is_number(c) for c in rows[0][1]):
@@ -206,22 +216,9 @@ def _cmd_gen_data(args, run: Run) -> None:
 
 def _cmd_train(args, run: Run) -> None:
     data = normalize(load_csv(args.data), center=args.center)
-    mcfg = MlpConfig(
-        input_dim=data.dim,
-        hidden=_parse_hidden(args.hidden),
-        output_dim=args.output_dim,
-        activation=args.activation,
-        seed=args.seed,
-    )
-    tcfg = TrainConfig(
-        learning_rate=args.learning_rate,
-        max_epochs=args.epochs,
-        patience=min(args.patience, args.epochs),
-        batch_size=args.batch_size,
-        val_fraction=args.val_fraction,
-        optimizer=args.optimizer,
-        seed=args.seed,
-    )
+    mcfg = _config(MlpConfig, args, input_dim=data.dim, hidden=_parse_hidden(args.hidden))
+    tcfg = _config(TrainConfig, args, max_epochs=args.epochs,
+                   patience=min(args.patience, args.epochs))
     model, report = train(data, mcfg, tcfg)
     log.info("train: best epoch %d, val loss %.6g", report.best_epoch, report.best_val_loss)
     run.write(args.out, lambda p: save_model(model, p, normalizer=data.normalizer))
@@ -234,28 +231,14 @@ def _cmd_train(args, run: Run) -> None:
     )
 
 
-def _detect_config(args) -> DetectConfig:
-    reps = tuple(t.strip() for t in args.reps.split(",") if t.strip())
-    return DetectConfig(
-        max_order=args.max_order,
-        full_order=args.full_order,
-        top_k=args.top_k,
-        representatives=reps,
-        aggregation=args.agg,
-        task=args.task,
-        class_index=args.class_index,
-        use_logit=args.use_logit,
-        squared_multiclass=args.squared_multiclass,
-        seed=args.seed,
-    )
-
-
 def _cmd_detect(args, run: Run) -> None:
     model, norm = load_model(args.model)
     data = load_csv(args.data)
     # the checkpoint's stored scaling when present, a fitted one otherwise
     data = Dataset(norm.apply(data.features), data.targets, norm) if norm else normalize(data)
-    ranking = detect(model, data, _detect_config(args))
+    reps = tuple(t.strip() for t in args.reps.split(",") if t.strip())
+    cfg = _config(DetectConfig, args, representatives=reps, aggregation=args.agg)
+    ranking = detect(model, data, cfg)
     run.write(args.out, lambda p: write_json(p, ranking_document(ranking)))
 
 
@@ -267,12 +250,10 @@ def _cmd_sweep(args, run: Run) -> None:
         model, data = (lambda z: bm.eval_function(fid, z)), raw
     else:
         data = normalize(raw)
-        mcfg = MlpConfig(input_dim=raw.dim, seed=args.seed)
-        patience = min(TrainConfig.patience, args.epochs)
-        tcfg = TrainConfig(max_epochs=args.epochs, patience=patience, seed=args.seed)
-        model, _ = train(data, mcfg, tcfg)
-    cfg = DetectConfig(max_order=args.max_order, full_order=args.full_order,
-                       top_k=args.top_k, seed=args.seed)
+        tcfg = _config(TrainConfig, args, max_epochs=args.epochs,
+                       patience=min(TrainConfig.patience, args.epochs))
+        model, _ = train(data, _config(MlpConfig, args, input_dim=raw.dim), tcfg)
+    cfg = _config(DetectConfig, args)
     rows = aggregation_sweep(model, data, cfg, lambda r: mean_truth_auc(r, truth))
     run.write(args.out,
               lambda p: write_csv(p, ("label", "score"), [(r.label, r.score) for r in rows]))
@@ -299,7 +280,7 @@ def _cmd_cam(args, run: Run) -> None:
         grid = FeatureGrid(
             norm.apply(grid.x.reshape(-1)).reshape(grid.x.shape), layout
         )
-    opts = CamOptions(**{f.name: getattr(args, f.name) for f in fields(CamOptions)})
+    opts = _config(CamOptions, args)
     tensor = taylor_cam(model, grid, args.order, opts)
     run.write(args.out, lambda p: write_json(p, salience_document(tensor, opts, args.top)))
     if args.svg:
@@ -316,10 +297,9 @@ def _demo_trial(seed: int, args, run: Run) -> dict:
     X = rng.uniform(-1.0, 1.0, size=(args.grids, n * d))
     dots = np.sum(X[:, a * d : (a + 1) * d] * X[:, b * d : (b + 1) * d], axis=1)
     data = normalize(Dataset(X, expit(dots)[:, None]))
-    mcfg = MlpConfig(input_dim=n * d, hidden=_parse_hidden(args.hidden), seed=seed)
-    tcfg = TrainConfig(
-        max_epochs=args.epochs, patience=min(args.patience, args.epochs), seed=seed
-    )
+    mcfg = _config(MlpConfig, args, input_dim=n * d, hidden=_parse_hidden(args.hidden), seed=seed)
+    tcfg = _config(TrainConfig, args, max_epochs=args.epochs,
+                   patience=min(args.patience, args.epochs), seed=seed)
     model, report = train(data, mcfg, tcfg)
 
     acc = np.zeros((n, n))

@@ -41,7 +41,6 @@ from .autodiff import (
     CapacityError,
     ElementaryTable,
     _compose_levels,
-    _live_chain_pairs,
     lattice_call,
     lattice_compose,
     lattice_mul,
@@ -393,10 +392,6 @@ def forward_lattice(model, tags: np.ndarray, t: int, *, value, bank, top_only=Fa
         cols = np.matmul(model.weights[0], blocks).transpose(0, 2, 1).reshape(-1, fan)
         del blocks
         z0, dirs = cols[0] + model.biases[0], cols[1 : len(c) + 1]
-        table.check(z0)
-        series = table.series(t, z0[None])
-        # the live blocks of the first layer's chain rule: the single tags {i}
-        chain = _live_chain_pairs(t, bytes(int(m & (m - 1) == 0) for m in range(1 << t)))
     for lo, hi in row_chunks(model, len(tags), value.size, t):
         if not isnet:
             out[lo:hi, 0] = lattice_call(model, _seeded(value, bank, tags[lo:hi], t), t)
@@ -404,10 +399,10 @@ def forward_lattice(model, tags: np.ndarray, t: int, *, value, bank, top_only=Fa
         if last == 0:  # no hidden layer: the output layer takes the seeded input
             h = _seeded(value, bank, tags[lo:hi], t)
         else:
-            deriv = [np.broadcast_to(d, (hi - lo, fan)) for d in series]
+            # the first layer's chain rule: its live blocks are the single tags {i}
             rows = {1 << i: dirs[tags[lo:hi, i]].ravel() for i in range(t)}
-            h = _compose_levels(deriv, rows, chain, t, top_only=top_only and last == 1)
-            h = np.ascontiguousarray(np.moveaxis(h.reshape(1 << t, hi - lo, fan), 0, -1))
+            x0 = np.broadcast_to(z0, (hi - lo, fan))
+            h = _compose_levels(table, x0, rows, t, top_only=top_only and last == 1)
         for i in range(min(1, last), last + 1):
             z = np.matmul(model.weights[i], h)
             del h

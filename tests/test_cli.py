@@ -6,7 +6,7 @@ import signal
 import sys
 import threading
 import time
-from dataclasses import fields
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
@@ -129,6 +129,51 @@ def test_failed_run_reports_error_status(tmp_path):
     run = _read_run(tmp_path)
     assert run["status"] == "error"
     assert "unknown function" in run["error"]
+
+
+def _refused(out, name):
+    """run.json of a run whose artifact ``name`` was refused as taken."""
+    run = _read_run(out)
+    message = f"artifact {name}: the name {Path(name).name} is taken"
+    assert (run["status"], run["error"]) == ("error", message)
+    return run
+
+
+def test_artifact_named_run_json_is_refused(tmp_path, capsys):
+    code = main(["gen-data", "--function", "F1", "--samples", "20", "--out", "run.json",
+                 "--out-dir", str(tmp_path)])
+    assert code == 1
+    assert _refused(tmp_path, "run.json")["artifacts"] == {}
+    assert "error: artifact run.json" in capsys.readouterr().err
+
+
+def test_artifacts_recorded_under_one_name_are_refused(tmp_path):
+    """Two artifacts outside --out-dir with one file name would share a
+    record key: the second is refused before it is written."""
+    first, second = tmp_path / "a" / "x.csv", tmp_path / "b" / "x.csv"
+    first.parent.mkdir()
+    second.parent.mkdir()
+    code = main(["gen-data", "--function", "F1", "--samples", "20", "--out", str(first),
+                 "--truth-out", str(second), "--out-dir", str(tmp_path / "run")])
+    assert code == 1
+    run = _refused(tmp_path / "run", str(second))
+    assert run["artifacts"] == {"x.csv": hashlib.sha256(first.read_bytes()).hexdigest()}
+    assert not second.exists()
+
+
+def test_cam_svg_named_like_its_json_is_refused(tmp_path, small_csv):
+    model = _train_toy(tmp_path, small_csv)
+    grid = tmp_path / "grid.csv"
+    grid.write_text("0.4,-0.2\n0.1,0.9\n")
+    out = tmp_path / "cam"
+    code = main(["cam", "--model", str(model), "--grid", str(grid), "--out", "heat.svg",
+                 "--svg", "heat.svg", "--out-dir", str(out)])
+    assert code == 1
+    written = (out / "heat.svg").read_bytes()
+    assert json.loads(written)  # the salience JSON is kept, not overwritten
+    assert _refused(out, "heat.svg")["artifacts"] == {
+        "heat.svg": hashlib.sha256(written).hexdigest()
+    }
 
 
 @pytest.mark.parametrize(
@@ -756,3 +801,85 @@ def test_flag_defaults_are_the_config_fields(sub):
         default = next(f.default for f in fields(cls) if f.name == name)
         got = _FLAG_TEXT.get(dest, lambda v: v)(getattr(args, dest))
         assert got == default, (sub, dest)
+
+
+# A non-default value for each field-backed flag: its text (None for an
+# on/off flag) and the field value it must set.
+_FLAG_VALUES = {
+    "hidden": ("7,5", (7, 5)),
+    "activation": ("relu", "relu"),
+    "output_dim": ("2", 2),
+    "learning_rate": ("0.01", 0.01),
+    "epochs": ("9", 9),
+    "patience": ("4", 4),
+    "batch_size": ("17", 17),
+    "val_fraction": ("0.3", 0.3),
+    "optimizer": ("sgd", "sgd"),
+    "max_order": ("4", 4),
+    "full_order": ("3", 3),
+    "top_k": ("3", 3),
+    "reps": ("min,mode", ("min", "mode")),
+    "agg": ("median", "median"),
+    "task": ("classification", "classification"),
+    "class_index": ("1", 1),
+    "use_logit": (None, True),
+    "squared_multiclass": (None, True),
+    "local_k": (None, False),
+    "square": (None, False),
+    "symmetrize": (None, False),
+    "zero_diagonal": (None, False),
+    "sum_before_square": (None, True),
+    "rectify": (None, True),
+}
+# Per run: the library call that ends it, and the flags that keep it small.
+_FLAG_RUNS = {
+    "train": ("train", []),
+    "detect": ("detect", []),
+    "sweep": ("aggregation_sweep", ["--samples", "20"]),
+    "sweep --analytic": ("aggregation_sweep", ["--samples", "20", "--analytic"]),
+    "cam": ("taylor_cam", []),
+    "cam-demo": ("train", ["--seeds", "1", "--grids", "4"]),
+}
+
+
+class _Stop(Exception):
+    pass
+
+
+@pytest.mark.parametrize("case", sorted(_FLAG_RUNS))
+def test_each_field_backed_flag_reaches_its_config(tmp_path, monkeypatch, case):
+    """Every field-backed flag, given a value other than its default,
+    sets its field in the config the command hands the library; --seed
+    sets every seed field."""
+    sub, *_ = case.split()
+    stop, extra = _FLAG_RUNS[case]
+    required, backed = _FIELD_BACKED_FLAGS[sub]
+    seen = {}
+
+    def stub(name):
+        def call(*args):
+            seen.update((type(a), a) for a in args if is_dataclass(a))
+            if name == stop:
+                raise _Stop
+            return None, None  # sweep's trained model, never evaluated
+
+        return call
+
+    for name in ("train", "detect", "aggregation_sweep", "taylor_cam"):
+        monkeypatch.setattr(cli, name, stub(name))
+    monkeypatch.setattr(cli, "load_model", lambda path: (None, None))
+    monkeypatch.setattr(cli, "load_csv", lambda path: Dataset(np.eye(3), np.ones((3, 1))))
+    monkeypatch.chdir(tmp_path)
+    Path("g.csv").write_text("0.4,-0.2\n0.1,0.9\n")
+    argv = [sub, *required, *extra, "--seed", "5", "--out-dir", "out"]
+    for dest in backed:
+        text, value = _FLAG_VALUES[dest]
+        flag = dest.replace("_", "-")
+        argv += [f"--{flag}", text] if text else [f"--{'' if value else 'no-'}{flag}"]
+    assert main(argv) == 1
+    assert _read_run("out")["error"] == ""  # _Stop carries no message
+    for dest, (cls, name) in backed.items():
+        if case == "sweep --analytic" and cls is TrainConfig:
+            continue  # --epochs trains the model --analytic does without
+        assert getattr(seen[cls], name) == _FLAG_VALUES[dest][1], (case, dest)
+    assert all(cfg.seed == 5 for cfg in seen.values() if hasattr(cfg, "seed"))

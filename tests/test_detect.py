@@ -264,10 +264,11 @@ def _chunk_rows(monkeypatch):
 
 
 def test_streamed_scores_have_the_bytes_of_one_batch(monkeypatch):
-    """Scores from 2-8 row chunks equal those of one whole batch bit for
-    bit, for a regression net, a classifier through softmax and a
-    callable; the chunks are cut inside one forward_lattice call per
-    model and order."""
+    """Scores from row chunks of one to eight rows equal those of one
+    whole batch bit for bit, for a regression net, a classifier through
+    softmax and a callable; the chunks are cut inside one forward_lattice
+    call per model and order.  A one-row chunk's first layer takes the
+    series of its own value row rather than of one row shared by many."""
     rng = np.random.default_rng(33)
     net = init_mlp(MlpConfig(input_dim=10, hidden=(16, 8), seed=5))
     clf = init_mlp(MlpConfig(input_dim=10, hidden=(12,), output_dim=3, seed=6))
@@ -279,15 +280,20 @@ def test_streamed_scores_have_the_bytes_of_one_batch(monkeypatch):
     for order in (2, 3, 4):
         cands = list(combinations(range(10), order))
         want = [local_ies(model, row, order, cands, **kw) for model, kw in cases]
-        with monkeypatch.context() as m:
-            small_chunks(m, 16 * 8)  # eight candidates of the 16-wide net per chunk
-            rows, calls = _chunk_rows(m)
-            got = [local_ies(model, row, order, cands, **kw) for model, kw in cases]
-        assert sum(rows) == 3 * len(cands) and len(rows) > 3 * 2
-        assert calls == [len(cands)] * 3
-        for w, g in zip(want, got):
-            assert list(g) == list(w) == cands
-            assert np.array(list(g.values())).tobytes() == np.array(list(w.values())).tobytes()
+        # eight candidates of the 16-wide net per chunk, then one
+        for per_chunk in (8, 1):
+            with monkeypatch.context() as m:
+                small_chunks(m, 16 * per_chunk)
+                rows, calls = _chunk_rows(m)
+                got = [local_ies(model, row, order, cands, **kw) for model, kw in cases]
+            assert sum(rows) == 3 * len(cands) and len(rows) > 3 * 2
+            if per_chunk == 1:  # the net's passes come first
+                assert rows[: len(cands)] == [1] * len(cands)
+            assert calls == [len(cands)] * 3
+            for w, g in zip(want, got):
+                assert list(g) == list(w) == cands
+                w_bytes, g_bytes = (np.array(list(d.values())).tobytes() for d in (w, g))
+                assert g_bytes == w_bytes, (order, per_chunk)
 
 
 def _dense_scores(model, row, order, cands, task="regression", class_index=0, use_logit=False):
