@@ -173,9 +173,12 @@ def lattice_compose(
 
 def _rows_equal(x0: np.ndarray) -> bool:
     """Whether x0 has two or more rows, all bitwise equal to the first
-    (a -0.0 does not equal a +0.0 here: series values may carry its sign)."""
+    (a -0.0 does not equal a +0.0 here: series values may carry its sign);
+    rows broadcast from one (stride 0) are, without a comparison."""
     if x0.ndim == 0 or len(x0) < 2:
         return False
+    if x0.strides[0] == 0:
+        return True
     first = x0[:1]
     return bool((x0 == first).all() and (np.signbit(x0) == np.signbit(first)).all())
 

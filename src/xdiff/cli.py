@@ -52,6 +52,7 @@ from .mlp import (
     write_csv,
     write_json,
 )
+from .parallel import fork_map
 from .salience import (
     CamOptions,
     FeatureGrid,
@@ -260,13 +261,7 @@ def _cmd_sweep(args, run: Run) -> None:
 
 
 def _cmd_suite(args, run: Run) -> None:
-    functions = _parse_functions(args.functions)
-    report = pairwise_suite(
-        functions=functions,
-        trials=args.trials,
-        samples=args.samples,
-        seed=args.seed,
-    )
+    report = pairwise_suite(_parse_functions(args.functions), args.trials, args.samples, args.seed)
     run.write(args.out, lambda p: write_csv(p, ("id", "mean_auc", "std"), report.rows()))
 
 
@@ -287,10 +282,10 @@ def _cmd_cam(args, run: Run) -> None:
         run.write(args.svg, lambda p: render_heatmap(tensor, p, layout=grid.layout, top=args.top))
 
 
-def _demo_trial(seed: int, args, run: Run) -> dict:
+def _demo_trial(seed: int, args) -> tuple[dict, SalienceTensor]:
     """One planted-pair experiment: draw a pair, synthesize labels from
     it alone, train, and ask the averaged pairwise salience for its
-    top-1 pair; with --svg, write and record its heatmap."""
+    top-1 pair.  Returns the trial's record and that salience."""
     n, d = 9, 4
     rng = np.random.default_rng(seed)
     a, b = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
@@ -310,23 +305,25 @@ def _demo_trial(seed: int, args, run: Run) -> dict:
     acc /= args.test_grids
     avg = SalienceTensor(2, acc)
     top = top_interactions(avg, 1)[0][0]
-    if args.svg:
-        run.write(f"cam_demo_seed{seed}.svg",
-                  lambda p: render_heatmap(avg, p, layout=(3, 3), top=1))
     return {
         "seed": seed,
         "planted": [a, b],
         "top": list(top),
         "hit": list(top) == [a, b],
         "val_loss": report.best_val_loss,
-    }
+    }, avg
 
 
 def _cmd_cam_demo(args, run: Run) -> None:
     for flag in ("seeds", "grids", "test_grids", "patience"):
         if (value := getattr(args, flag)) < 1:
             raise CliError(f"--{flag.replace('_', '-')} must be at least 1, got {value}")
-    trials = [_demo_trial(args.seed + i, args, run) for i in range(args.seeds)]
+    done = fork_map(lambda seed: _demo_trial(seed, args), range(args.seed, args.seed + args.seeds))
+    trials = [trial for trial, _ in done]
+    if args.svg:
+        for trial, avg in done:
+            run.write(f"cam_demo_seed{trial['seed']}.svg",
+                      lambda p: render_heatmap(avg, p, layout=(3, 3), top=1))
     hits = sum(t["hit"] for t in trials)
     log.info("cam-demo: %d/%d planted pairs recovered", hits, len(trials))
     doc = {
@@ -348,7 +345,7 @@ def build_parser() -> _Parser:
                         help="base RNG seed (default: XDIFF_SEED env var, else 0)")
     common.add_argument("--threads", type=int, default=1,
                         help="at least 1; accepted by every subcommand and used by none "
-                             "yet; never changes output bytes")
+                             "(each works out its own process count); never changes output bytes")
     common.add_argument("--out-dir", default=".", help="directory for artifacts and run.json")
     common.add_argument("--log-level", default="warning",
                         choices=("debug", "info", "warning", "error"))

@@ -17,11 +17,6 @@ processes; the bytes do not depend on how many.
 
 from __future__ import annotations
 
-import os
-import pickle
-import signal
-import sys
-import threading
 import warnings
 from dataclasses import asdict, dataclass, replace
 from itertools import combinations
@@ -31,7 +26,8 @@ from typing import Callable, Mapping, Sequence
 import numpy as np
 
 from .autodiff import MAX_TAGS, DomainError
-from .mlp import Dataset, Mlp, check_derivative_order, forward_lattice, softmax_lattice
+from .mlp import Dataset, Mlp, check_derivative_order, count_field, forward_lattice, softmax_lattice
+from .parallel import fork_map, share_count
 
 REPRESENTATIVE_LABELS = ("mean", "median", "min", "max", "mode", "random")
 AGGREGATION_LABELS = ("mean", "median", "min", "max", "mode")
@@ -68,13 +64,13 @@ class DetectConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (2 <= self.full_order <= self.max_order <= MAX_TAGS):
+        for name, least in (("max_order", 2), ("full_order", 2), ("top_k", 1), ("class_index", 0)):
+            object.__setattr__(self, name, count_field(name, getattr(self, name), least))
+        if not self.full_order <= self.max_order <= MAX_TAGS:
             raise ValueError(
                 f"need 2 <= full_order <= max_order <= {MAX_TAGS}, "
                 f"got full_order={self.full_order}, max_order={self.max_order}"
             )
-        if self.top_k < 1:
-            raise ValueError("top_k must be at least 1")
         reps = tuple(self.representatives)
         if not reps:
             raise ValueError("at least one representative label is required")
@@ -88,8 +84,6 @@ class DetectConfig:
             raise ValueError(f"unknown aggregation {self.aggregation!r}; expected one of {AGGREGATION_LABELS}")
         if self.task not in ("regression", "classification"):
             raise ValueError(f"task must be 'regression' or 'classification', got {self.task!r}")
-        if self.class_index < 0:
-            raise ValueError("class_index must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -304,98 +298,9 @@ def _lattice_cells(model, dim: int, cfg: DetectConfig) -> int:
     return cells * width
 
 
-def _share_count(jobs: int, cells: int) -> int:
-    """The number of processes to score ``jobs`` representatives on, with
-    ``cells`` the estimated work of all of them (``_lattice_cells``): one
-    per CPU in ``os.sched_getaffinity``, at most one per job and one per
-    SHARE_MIN_CELLS, on Linux while no other thread runs (a fork copies
-    the calling thread only) and outside a multiprocessing child (its
-    pool already fills the CPUs, so a split would oversubscribe them);
-    else 1."""
-    if not sys.platform.startswith("linux") or threading.active_count() != 1:
-        return 1
-    mp = sys.modules.get("multiprocessing")
-    if mp is not None and mp.parent_process() is not None:
-        return 1
-    return max(1, min(jobs, len(os.sched_getaffinity(0)), cells // SHARE_MIN_CELLS))
-
-
-def _profiles(evaluator, reps: Sequence[Representative], dim: int, cfg: DetectConfig, w: int) -> list:
-    """``_rep_profile`` of every representative, in their order, on w
-    processes: representative i is in share i mod w, the caller scores
-    share 0, and w - 1 workers, each forked by a bare ``os.fork`` with
-    one pipe, score one other share each.  A worker's exception reaches
-    the caller with its type and message (as a RuntimeError naming both
-    if it does not survive a pickle round trip); a worker that ends
-    without its share raises a RuntimeError.  No worker outlives the
-    call.  A worker's warnings and log records stay in it, except the
-    domain-error drop counts, which ``_rep_profile`` returns."""
-    shares = [reps[i::w] for i in range(w)]
-    workers = []
-    try:
-        for share in shares[1:]:
-            # an interrupt raised before the worker is listed would orphan it
-            mask = signal.pthread_sigmask(signal.SIG_BLOCK, (signal.SIGINT, signal.SIGTERM))
-            try:
-                fd_r, fd_w = os.pipe()
-                pid = os.fork()
-                if pid == 0:
-                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                    os.close(fd_r)
-                    _score_in_worker(fd_w, evaluator, share, dim, cfg)
-                os.close(fd_w)
-                workers.append((pid, os.fdopen(fd_r, "rb")))
-            finally:
-                signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        done = [[_rep_profile(evaluator, rep, dim, cfg) for rep in shares[0]]]
-        while workers:
-            pid, pipe = workers[0]
-            msg = pipe.read()
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            del workers[0]
-            pipe.close()
-            if code or not msg:  # a negative code is the signal that ended it
-                raise RuntimeError(f"a detect worker ended with code {code} before returning its share")
-            ok, payload = pickle.loads(msg)
-            if not ok:
-                raise payload
-            done.append(payload)
-    finally:
-        for pid, pipe in workers:
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-    results = [None] * len(reps)
-    for i, share in enumerate(done):
-        results[i::w] = share
-    return results
-
-
-def _score_in_worker(fd: int, evaluator, share, dim: int, cfg: DetectConfig) -> None:
-    """A forked worker's whole life: score ``share``, write (True,
-    profiles) or (False, exception) to ``fd`` pickled, and exit, running
-    none of the caller's cleanup."""
-    status = 1
-    try:
-        try:
-            msg = pickle.dumps((True, [_rep_profile(evaluator, r, dim, cfg) for r in share]))
-        except BaseException as e:
-            try:
-                msg = pickle.dumps((False, e))
-                pickle.loads(msg)
-            except Exception:
-                err = RuntimeError(f"{type(e).__name__}: {e} (the worker's exception did not pickle)")
-                msg = pickle.dumps((False, err))
-        with os.fdopen(fd, "wb") as pipe:
-            pipe.write(msg)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _profile_pass(model, data: Dataset, cfg: DetectConfig):
-    """Score every configured representative once, on as many processes
-    as ``_share_count`` gives for their estimated work (see ``_profiles``).
+    """Score every configured representative once through ``fork_map``,
+    on at most one process per SHARE_MIN_CELLS of their estimated work.
     Returns the representatives in canonical order, their raw values by
     order, and the top-k parents each one extended at orders beyond
     full_order.  Domain errors are warned of here, in representative
@@ -410,8 +315,9 @@ def _profile_pass(model, data: Dataset, cfg: DetectConfig):
             raise ValueError("normalize the dataset before detecting on a trained model")
     evaluator = _make_evaluator(model, cfg.task, cfg.class_index, cfg.use_logit)
     reps = representative_samples(data, cfg.representatives, cfg.seed)
-    w = _share_count(len(reps), len(reps) * _lattice_cells(model, data.dim, cfg))
-    results = _profiles(evaluator, reps, data.dim, cfg, w)
+    cells = len(reps) * _lattice_cells(model, data.dim, cfg)
+    w = min(share_count(len(reps)), max(1, cells // SHARE_MIN_CELLS))
+    results = fork_map(lambda rep: _rep_profile(evaluator, rep, data.dim, cfg), reps, w)
     for _, _, dropped in results:
         for n in dropped:
             _warn_dropped(n)

@@ -19,6 +19,7 @@ import numpy as np
 from . import benchmarks as bm
 from .detect import DetectConfig, InteractionRanking, detect, verify_extension_schedule
 from .mlp import MlpConfig, TrainConfig, normalize, train
+from .parallel import fork_map
 
 log = logging.getLogger(__name__)
 
@@ -125,7 +126,9 @@ def pairwise_suite(
 ) -> AucReport:
     """Pairwise AUC per benchmark across trials.  Trial t of every
     function runs with seed + t; a custom pipeline(fid, seed) can stand
-    in for the sample-train-detect chain."""
+    in for the sample-train-detect chain.  The (function, trial) jobs run
+    through ``fork_map``, so a pipeline's side effects may stay in the
+    worker that ran it."""
     if trials < 1:
         raise ValueError("trials must be at least 1")
     functions = tuple(functions)  # an iterator would be spent by the checks below
@@ -137,11 +140,11 @@ def pairwise_suite(
         def pipeline(fid, s):
             return default_pipeline(fid, s, samples=samples)
 
+    jobs = [(fid, seed + t) for fid in functions for t in range(trials)]
+    values = fork_map(lambda job: auc(pair_scores(pipeline(*job)), bm.pairwise_truth(job[0])), jobs)
     per_function: dict[str, tuple[float, ...]] = {}
-    for fid in functions:
-        for t in range(trials):
-            value = auc(pair_scores(pipeline(fid, seed + t)), bm.pairwise_truth(fid))
-            per_function[fid] = per_function.get(fid, ()) + (value,)
+    for (fid, _), value in zip(jobs, values):
+        per_function[fid] = per_function.get(fid, ()) + (value,)
     return AucReport(order=2, trials=trials, per_function=per_function)
 
 

@@ -272,6 +272,16 @@ def load_csv(path) -> Dataset:
 # --- Model -----------------------------------------------------------------
 
 
+def count_field(name: str, value, least: int = 1) -> int:
+    """A config's count ``value`` as an int: a ValueError naming ``name``
+    unless it is a Python or numpy integer of at least ``least``."""
+    if not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be a whole number, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return int(value)
+
+
 @dataclass(frozen=True)
 class MlpConfig:
     input_dim: int
@@ -281,11 +291,10 @@ class MlpConfig:
     seed: int = 0
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
-        if self.input_dim < 1 or self.output_dim < 1:
-            raise ValueError("input_dim and output_dim must be at least 1")
-        if any(w < 1 for w in self.hidden):
-            raise ValueError("all hidden widths must be at least 1")
+        for name in ("input_dim", "output_dim"):
+            object.__setattr__(self, name, count_field(name, getattr(self, name)))
+        widths = tuple(count_field("all hidden widths", w) for w in self.hidden)
+        object.__setattr__(self, "hidden", widths)
         if self.activation not in ("gelu", "relu"):
             raise ValueError(f"unknown activation {self.activation!r}")
 
@@ -508,8 +517,7 @@ class TrainConfig:
         if not 0.0 < self.val_fraction < 1.0:
             raise ValueError("val_fraction must lie strictly between 0 and 1")
         for name in ("max_epochs", "batch_size", "patience"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, count_field(name, getattr(self, name)))
         if self.patience > self.max_epochs:
             raise ValueError("patience cannot exceed max_epochs")
         if self.optimizer not in ("adam", "sgd"):

@@ -25,6 +25,7 @@ from xdiff.detect import (
 )
 from xdiff.evaluate import default_pipeline, mean_truth_auc, pairwise_suite
 from xdiff.mlp import Dataset, MlpConfig, TrainConfig, forward, init_mlp, save_csv
+from xdiff.parallel import fork_map
 from xdiff.salience import (
     CamOptions,
     FeatureGrid,
@@ -43,16 +44,14 @@ RAW = CamOptions(square=False, symmetrize=False, zero_diagonal=False)
 @pytest.fixture(scope="session")
 def pairwise_runs():
     """The three-trial, 10k-sample benchmark over F1-F10 at default
-    configuration, keeping every ranking for the structural checks."""
-    captured = {}
-
-    def pipeline(fid, seed):
-        ranking = default_pipeline(fid, seed)
-        captured[(fid, seed)] = ranking
-        return ranking
-
+    configuration, keeping every ranking for the structural checks.  The
+    30 pipelines run through fork_map, and pairwise_suite reads their
+    rankings back: a pipeline's writes would stay in its worker."""
     t0 = time.monotonic()
-    report = pairwise_suite(trials=3, samples=10000, seed=0, pipeline=pipeline)
+    jobs = [(fid, seed) for fid in bm.FUNCTION_IDS for seed in range(3)]
+    captured = dict(zip(jobs, fork_map(lambda job: default_pipeline(*job), jobs)))
+    report = pairwise_suite(trials=3, samples=10000, seed=0,
+                            pipeline=lambda fid, seed: captured[fid, seed])
     return report, captured, time.monotonic() - t0
 
 
@@ -71,14 +70,13 @@ def higher_order_rankings():
     """
     mlp = MlpConfig(input_dim=10, hidden=(64, 48, 32))
     tr = TrainConfig(max_epochs=400, patience=40)
-    out = {}
-    for fid, max_order in (("F8", 4), ("F6", 3)):
-        for seed in (0, 1, 2):
-            cfg = DetectConfig(max_order=max_order, aggregation="median")
-            out[fid, seed] = default_pipeline(
-                fid, seed, mlp_config=mlp, train_config=tr, detect_config=cfg
-            )
-    return out
+    jobs = [(fid, seed) for fid in ("F8", "F6") for seed in (0, 1, 2)]
+
+    def run(job):
+        cfg = DetectConfig(max_order={"F8": 4, "F6": 3}[job[0]], aggregation="median")
+        return default_pipeline(*job, mlp_config=mlp, train_config=tr, detect_config=cfg)
+
+    return dict(zip(jobs, fork_map(run, jobs)))
 
 
 def _top_sets(ranking, order, k=10):

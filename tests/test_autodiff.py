@@ -613,6 +613,15 @@ def test_lattice_compose_tells_a_negative_zero_value_from_a_positive_one():
     _assert_same_bytes(lattice_compose(ad.GELU, g, 4), _compose_full(ad.GELU, g, 4))
 
 
+def test_rows_broadcast_from_one_are_equal_without_a_comparison(traced_peak):
+    """A value broadcast along its rows (stride 0), as forward_lattice's
+    first layer gives it, is equal row for row by construction."""
+    x0 = np.broadcast_to(np.linspace(-1.0, 1.0, 140), (200_000, 140))
+    assert ad._rows_equal(x0)
+    assert traced_peak(ad._rows_equal, x0) < 1 << 20
+    assert not ad._rows_equal(np.broadcast_to(np.linspace(-1.0, 1.0, 140), (1, 140)))
+
+
 @pytest.mark.parametrize("shape,t", [((512, 64), 4), ((32, 100), 7)])
 @pytest.mark.parametrize("make", [_dense_lattice, _singleton_lattice])
 def test_lattice_compose_peak_memory_is_bounded_by_its_result(shape, t, make, traced_peak):

@@ -647,26 +647,33 @@ def test_cam_demo_rejects_counts_below_one_before_training(tmp_path, monkeypatch
 
 
 def test_a_failed_cam_demo_lists_the_svgs_it_wrote(tmp_path, monkeypatch):
-    real_train, calls = cli.train, []
+    """The caller writes every seed's SVG, in seed order, once all seeds
+    are done: a seed that fails, in whichever process, leaves no SVG, and
+    a failure after the SVGs (here the JSON's name is taken) lists them."""
+    real_train = cli.train
 
-    def fail_on_the_second_seed(*args, **kwargs):
-        calls.append(args)
-        if len(calls) == 2:
-            raise RuntimeError("second seed failed")
-        return real_train(*args, **kwargs)
+    def fail_on_seed_5(data, mcfg, tcfg):
+        if mcfg.seed == 5:
+            raise RuntimeError("seed 5 failed")
+        return real_train(data, mcfg, tcfg)
 
-    monkeypatch.setattr(cli, "train", fail_on_the_second_seed)
-    out = tmp_path / "demo"
-    code = main([
-        "cam-demo", "--seeds", "2", "--grids", "80", "--epochs", "2",
-        "--test-grids", "1", "--hidden", "8", "--seed", "4", "--out-dir", str(out),
-    ])
-    assert code == 1
+    monkeypatch.setattr(cli, "train", fail_on_seed_5)
+    argv = ["cam-demo", "--seeds", "2", "--grids", "80", "--epochs", "2",
+            "--test-grids", "1", "--hidden", "8"]
+    out = tmp_path / "failed_seed"
+    assert main([*argv, "--seed", "4", "--out-dir", str(out)]) == 1
     run = _read_run(out)
-    assert (run["status"], run["error"]) == ("error", "second seed failed")
-    svg = (out / "cam_demo_seed4.svg").read_bytes()
-    assert run["artifacts"] == {"cam_demo_seed4.svg": hashlib.sha256(svg).hexdigest()}
-    assert not (out / "cam_demo_seed5.svg").exists()
+    assert (run["status"], run["error"], run["artifacts"]) == ("error", "seed 5 failed", {})
+    assert sorted(p.name for p in out.iterdir()) == ["run.json"]
+
+    out = tmp_path / "taken"
+    assert main([*argv, "--seed", "6", "--out", "cam_demo_seed7.svg", "--out-dir", str(out)]) == 1
+    run = _read_run(out)
+    assert run["error"] == "artifact cam_demo_seed7.svg: the name cam_demo_seed7.svg is taken"
+    svgs = ("cam_demo_seed6.svg", "cam_demo_seed7.svg")
+    assert run["artifacts"] == {
+        name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in svgs
+    }
 
 
 def test_cam_demo_writes_svgs_by_default(tmp_path):
@@ -714,6 +721,28 @@ def test_thread_count_never_changes_bytes(tmp_path, small_csv):
         ]) == 0
         trees.append(_tree_bytes(d))
     assert trees[0] == trees[1]
+
+
+def test_suite_and_cam_demo_bytes_do_not_depend_on_the_process_count(tmp_path, monkeypatch):
+    """suite's trials and cam-demo's seeds on one process and on two
+    (forced through the CPU count) write the same bytes."""
+    real_fork, forks = os.fork, []
+    monkeypatch.setattr(os, "fork", lambda: forks.append(1) or real_fork())
+    runs = {
+        "suite": ["suite", "--functions", "F9,F10", "--trials", "2", "--samples", "250"],
+        "cam-demo": ["cam-demo", "--seeds", "3", "--grids", "80", "--epochs", "2",
+                     "--test-grids", "1", "--hidden", "8"],
+    }
+    for name, argv in runs.items():
+        trees = []
+        for cpus in ({0}, {0, 1}):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+            forks.clear()
+            d = tmp_path / f"{name}_{len(cpus)}"
+            assert main([*argv, "--seed", "3", "--out-dir", str(d)]) == 0
+            trees.append(_tree_bytes(d))
+            assert len(forks) == len(cpus) - 1, (name, cpus)
+        assert trees[0] == trees[1], name
 
 
 @pytest.mark.parametrize("threads", ["0", "-2"])

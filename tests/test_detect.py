@@ -1,3 +1,4 @@
+import json
 import os
 import re
 import signal
@@ -15,7 +16,7 @@ import xdiff
 from xdiff import autodiff as ad
 from xdiff import benchmarks as bm
 from xdiff import detect as detect_mod
-from xdiff import mlp
+from xdiff import mlp, parallel
 from xdiff.autodiff import CapacityError, cross_partial
 from xdiff.detect import (
     AGGREGATION_LABELS,
@@ -540,6 +541,26 @@ def test_config_validation():
         DetectConfig(task="ranking")
 
 
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(top_k=2.5), "top_k"),
+    (dict(max_order=3.0), "max_order"),
+    (dict(full_order=np.float64(2.0)), "full_order"),
+    (dict(class_index=0.5), "class_index"),
+])
+def test_config_rejects_counts_that_are_not_whole_numbers(kwargs, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+        DetectConfig(**kwargs)
+
+
+def test_config_stores_numpy_integer_counts_as_ints():
+    cfg = DetectConfig(max_order=np.int64(3), top_k=np.int32(4), class_index=np.uint8(0))
+    assert (cfg.max_order, cfg.full_order, cfg.top_k, cfg.class_index) == (3, 2, 4, 0)
+    assert {type(v) for v in (cfg.max_order, cfg.top_k, cfg.class_index)} == {int}
+    model, data = _random_setup(n=100)
+    doc = json.loads(json.dumps(ranking_document(detect(model, data, cfg))))
+    assert doc["config"]["top_k"] == 4
+
+
 def test_tampered_ranking_fails_schedule_check():
     model, data = _random_setup()
     ranking = detect(model, data, DetectConfig(max_order=3, top_k=3))
@@ -608,12 +629,14 @@ def test_ranking_top_is_the_head_of_one_order():
         ranking.top(2, -1)
 
 
-# --- representatives scored on w processes: the caller and w - 1 forked workers
+# --- representatives scored on w processes: detect hands fork_map its share count
 
 
 def _force_shares(monkeypatch, w):
-    """Score on w processes whatever the CPU count."""
-    monkeypatch.setattr(detect_mod, "_share_count", lambda jobs, cells: min(jobs, w))
+    """Split detect's representatives over w processes, through the real
+    rule, whatever the CPU count and the work."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(w)))
+    monkeypatch.setattr(detect_mod, "SHARE_MIN_CELLS", 1)
 
 
 def _ranking_bytes(ranking):
@@ -642,26 +665,24 @@ def _child_pids():
     return pids
 
 
-def test_share_count_is_one_for_one_job_or_beside_another_thread(monkeypatch):
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    lots = 10 * detect_mod.SHARE_MIN_CELLS
-    assert detect_mod._share_count(1, lots) == 1
-    assert detect_mod._share_count(6, lots) == 2
-    stop = threading.Event()
-    other = threading.Thread(target=stop.wait)
-    other.start()
-    try:
-        assert detect_mod._share_count(6, lots) == 1
-    finally:
-        stop.set()
-        other.join()
-
-
 def test_share_count_gives_each_process_its_least_work(monkeypatch):
+    """detect hands fork_map one process per CPU, per representative and
+    per SHARE_MIN_CELLS of their estimated work, whichever is fewest."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
-    least = detect_mod.SHARE_MIN_CELLS
-    assert [detect_mod._share_count(6, k * least - 1) for k in range(1, 9)] == [1, 1, 2, 3, 4, 5, 6, 6]
-    assert detect_mod._share_count(6, 0) == 1
+    seen = []
+    monkeypatch.setattr(detect_mod, "fork_map",
+                        lambda fn, jobs, w: seen.append(w) or [fn(job) for job in jobs])
+
+    def fn(z):
+        return z[0] * z[1]
+
+    data = bm.sample_dataset("F4", 50, seed=0)
+    cfg = DetectConfig(max_order=2, representatives=REPRESENTATIVE_LABELS)
+    cells = 6 * detect_mod._lattice_cells(fn, 10, cfg)
+    for least in (cells + 1, *(cells // k for k in range(1, 8))):
+        monkeypatch.setattr(detect_mod, "SHARE_MIN_CELLS", least)
+        detect(fn, data, cfg)
+    assert seen == [1, 1, 2, 3, 4, 5, 6, 6]
 
 
 def test_lattice_cells_bound_the_candidates_of_each_order():
@@ -686,7 +707,7 @@ def test_lattice_cells_bound_the_candidates_of_each_order():
 
 def _detect_in_pool_worker(cfg):
     model, data = _random_setup()
-    return detect_mod._share_count(4, 2), _ranking_bytes(detect(model, data, cfg))
+    return parallel.share_count(4), _ranking_bytes(detect(model, data, cfg))
 
 
 def test_detect_in_a_pool_worker_scores_in_that_worker(monkeypatch):
@@ -695,9 +716,8 @@ def test_detect_in_a_pool_worker_scores_in_that_worker(monkeypatch):
     detect, though two CPUs and enough work for both are on offer."""
     import multiprocessing
 
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-    monkeypatch.setattr(detect_mod, "SHARE_MIN_CELLS", 1)
-    assert detect_mod._share_count(4, 2) == 2
+    _force_shares(monkeypatch, 2)
+    assert parallel.share_count(4) == 2
     cfg = DetectConfig(max_order=3)
     model, data = _random_setup()
     want = _ranking_bytes(detect(model, data, cfg))
@@ -729,13 +749,15 @@ def test_scores_on_two_processes_have_the_bytes_of_one(monkeypatch):
 
 
 def test_sweep_splits_as_detect_does(monkeypatch):
-    """aggregation_sweep reaches _share_count as detect does: on two CPUs
-    with work enough for two shares both score on two processes, and the
-    sweep's 315 rows and every ranking it scores have the bytes of one."""
+    """aggregation_sweep hands fork_map the share count detect does: on
+    two CPUs with work enough for two shares both score on two processes,
+    and the sweep's 315 rows and every ranking it scores have the bytes
+    of one."""
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     shares = []
-    real = detect_mod._profiles
-    monkeypatch.setattr(detect_mod, "_profiles", lambda *a: shares.append(a[-1]) or real(*a))
+    real = detect_mod.fork_map
+    monkeypatch.setattr(detect_mod, "fork_map",
+                        lambda fn, jobs, w: shares.append(w) or real(fn, jobs, w))
     model, data = _random_setup()
     cfg = DetectConfig(max_order=3)
 
@@ -758,36 +780,6 @@ def test_sweep_splits_as_detect_does(monkeypatch):
     assert shares == [2, 2, 1]
     assert len(split[0]) == len(split[1]) == 315
     assert split == one
-
-
-def test_an_interrupt_as_a_worker_forks_still_reaps_it(monkeypatch):
-    """Ctrl-C landing just after the fork, before the caller has listed
-    its worker, is raised once the worker is listed: the worker is
-    killed and reaped, not left to run on."""
-    real_fork, pids = os.fork, []
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-            os.kill(os.getpid(), signal.SIGINT)
-        return pid
-
-    monkeypatch.setattr(os, "fork", fork)
-    _force_shares(monkeypatch, 2)
-    model, data = _random_setup()
-    try:
-        with pytest.raises(KeyboardInterrupt):
-            detect(model, data, DetectConfig(max_order=3))
-        with pytest.raises(ChildProcessError):
-            os.waitpid(pids[0], os.WNOHANG)
-    finally:
-        for pid in pids:
-            try:
-                os.kill(pid, signal.SIGKILL)
-                os.waitpid(pid, 0)
-            except (ProcessLookupError, ChildProcessError):
-                pass
 
 
 def test_domain_errors_in_both_shares_warn_in_representative_order(monkeypatch):
@@ -822,33 +814,164 @@ def test_domain_errors_in_both_shares_warn_in_representative_order(monkeypatch):
     assert ranking.per_representative["max"][3] == {}
 
 
-@pytest.mark.parametrize("raises", [False, True])
-def test_no_worker_process_or_thread_outlives_detect(monkeypatch, raises):
-    """A ValueError at "min", which a forked worker scores, reaches the
-    caller with its type and message; returning or raising, detect leaves
-    no child process and no thread behind."""
+def test_import_leaves_the_process_pool_unloaded():
+    """Importing xdiff loads no process pool, and neither does a detect
+    split in two shares: its worker is a bare fork."""
+    src = str(Path(xdiff.__file__).resolve().parent.parent)
+    code = (
+        "import os, sys, xdiff\n"
+        "from xdiff import benchmarks as bm, detect as d\n"
+        "def pools():\n"
+        "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
+        " if m in sys.modules))\n"
+        "pools()\n"
+        "os.sched_getaffinity = lambda pid: {0, 1}\n"
+        "d.SHARE_MIN_CELLS = 1\n"
+        "forks = []\n"
+        "fork = os.fork\n"
+        "os.fork = lambda: forks.append(1) or fork()\n"
+        "cfg = d.DetectConfig(max_order=2, representatives=('mean', 'min'))\n"
+        "ranking = d.detect(lambda z: z[0] * z[1], bm.sample_dataset('F4', 50, seed=0), cfg)\n"
+        "print(len(ranking.orders[2]), len(forks))\n"
+        "pools()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src}, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n") == ["[]", "45 1", "[]", ""]
 
-    def fn(z):
-        if raises and z[0].coeffs.flat[0] < -2.0:
-            raise ValueError("no value at the minimum")
-        return z[0] * z[1] * z[2]
 
-    rng = np.random.default_rng(37)
-    x = rng.uniform(-1.0, 1.0, size=(30, 3))
-    x[4] = [-3.0, -3.0, -3.0]
-    data = Dataset(x, np.zeros((30, 1)))
-    cfg = DetectConfig(max_order=3, representatives=("mean", "min", "max"))
+# --- xdiff.parallel: the fork helper behind detect, the sweep, suite and cam-demo
+
+
+def test_share_count_is_one_for_one_job_or_beside_another_thread(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    assert parallel.share_count(1) == 1
+    assert parallel.share_count(6) == 2
+    stop = threading.Event()
+    other = threading.Thread(target=stop.wait)
+    other.start()
+    try:
+        assert parallel.share_count(6) == 1
+    finally:
+        stop.set()
+        other.join()
+
+
+def test_fork_map_returns_job_i_from_share_i_mod_w():
+    """Results come back in job order; job i ran in the process of share
+    i mod w, share 0 in the caller's."""
+    for w in (1, 2, 3):
+        got = parallel.fork_map(lambda job: (job * job, os.getpid()), range(7), w)
+        assert [v for v, _ in got] == [job * job for job in range(7)]
+        pids = [pid for _, pid in got]
+        assert pids[0] == os.getpid()
+        assert len(set(pids)) == w
+        assert all(pids[i] == pids[i % w] for i in range(7))
+
+
+def test_a_detect_inside_a_forked_job_scores_in_that_job(monkeypatch):
+    """A detect in a job of a split fork_map, in the caller's share or a
+    worker's, forks no worker of its own though two CPUs and enough work
+    are on offer (parent_process() does not see a bare fork), and it has
+    the bytes of a detect that splits."""
     _force_shares(monkeypatch, 2)
+    model, data = _random_setup()
+    cfg = DetectConfig(max_order=3)
+    real_fork, forks = os.fork, []
+
+    def fork():
+        forks.append(os.getpid())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", fork)
+    want = _ranking_bytes(detect(model, data, cfg))
+    assert len(forks) == 1
+
+    def job(_):
+        before = len(forks)
+        got = _ranking_bytes(detect(model, data, cfg))
+        return os.getpid(), len(forks) - before, got
+
+    runs = parallel.fork_map(job, [0, 1], 2)
+    assert runs[0][0] == os.getpid() != runs[1][0]
+    assert [(n, got) for _, n, got in runs] == [(0, want), (0, want)]
+    assert parallel.share_count(4) == 2  # the caller's flag is down again
+
+
+def test_an_interrupt_as_a_worker_forks_still_reaps_it(monkeypatch):
+    """Ctrl-C landing just after the fork, before the caller has listed
+    its worker, is raised once the worker is listed: the worker is
+    killed and reaped, not left to run on."""
+    real_fork, pids = os.fork, []
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+            os.kill(os.getpid(), signal.SIGINT)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    try:
+        with pytest.raises(KeyboardInterrupt):
+            parallel.fork_map(lambda job: job, range(4), 2)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pids[0], os.WNOHANG)
+    finally:
+        for pid in pids:
+            try:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            except (ProcessLookupError, ChildProcessError):
+                pass
+
+
+@pytest.mark.parametrize("raises", [False, True])
+def test_no_worker_process_or_thread_outlives_fork_map(raises):
+    """A ValueError in job 1, which a forked worker runs, reaches the
+    caller with its type and message; returning or raising, fork_map
+    leaves no child process and no thread behind."""
+
+    def fn(job):
+        if raises and job == 1:
+            raise ValueError("no value at job 1")
+        return job
+
     children, threads = _child_pids(), set(threading.enumerate())
     if raises:
-        with pytest.raises(ValueError, match="^no value at the minimum$"):
-            detect(fn, data, cfg)
+        with pytest.raises(ValueError, match="^no value at job 1$"):
+            parallel.fork_map(fn, range(3), 2)
     else:
-        assert len(detect(fn, data, cfg).orders[3]) == 1
+        assert parallel.fork_map(fn, range(3), 2) == [0, 1, 2]
     assert _child_pids() == children
     assert set(threading.enumerate()) == threads
     if "multiprocessing" in sys.modules:
         assert sys.modules["multiprocessing"].active_children() == []
+
+
+@pytest.mark.parametrize("end, code", [
+    (lambda: os._exit(3), 3),
+    (lambda: os.kill(os.getpid(), 9), -9),  # a signal's number, negated
+], ids=["exit", "sigkill"])
+def test_a_worker_that_dies_mid_share_raises_a_clear_error(end, code):
+    """A worker that ends at its job, by an exit or a kill, without
+    writing its share: fork_map raises naming its exit code, and no
+    child process is left."""
+    caller = os.getpid()
+
+    def fn(job):
+        if os.getpid() != caller:
+            end()
+        return job
+
+    children = _child_pids()
+    message = f"a worker ended with code {code} before returning its share"
+    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
+        parallel.fork_map(fn, range(3), 2)
+    assert _child_pids() == children
 
 
 class _TwoArgError(Exception):
@@ -859,86 +982,27 @@ class _TwoArgError(Exception):
         self.extra = extra
 
 
-def _split_setup(monkeypatch):
-    """Three representatives on two processes: a forked worker scores
-    "min", the row whose first value is below -2."""
-    rng = np.random.default_rng(37)
-    x = rng.uniform(-1.0, 1.0, size=(30, 3))
-    x[4] = [-3.0, -3.0, -3.0]
-    _force_shares(monkeypatch, 2)
-    return Dataset(x, np.zeros((30, 1))), DetectConfig(max_order=3, representatives=("mean", "min", "max"))
-
-
-@pytest.mark.parametrize("end, code", [
-    (lambda: os._exit(3), 3),
-    (lambda: os.kill(os.getpid(), 9), -9),  # a signal's number, negated
-], ids=["exit", "sigkill"])
-def test_a_worker_that_dies_mid_share_raises_a_clear_error(monkeypatch, end, code):
-    """A worker that ends at its representative, by an exit or a kill,
-    without writing its share: detect raises naming its exit code, and
-    no child process is left."""
-    caller = os.getpid()
-
-    def fn(z):
-        if z[0].coeffs.flat[0] < -2.0 and os.getpid() != caller:
-            end()
-        return z[0] * z[1] * z[2]
-
-    data, cfg = _split_setup(monkeypatch)
-    children = _child_pids()
-    message = f"a detect worker ended with code {code} before returning its share"
-    with pytest.raises(RuntimeError, match=f"^{re.escape(message)}$"):
-        detect(fn, data, cfg)
-    assert _child_pids() == children
-
-
 def _attribute_that_does_not_pickle():
-    err = ValueError("no value at the minimum")
+    err = ValueError("no value at job 1")
     err.hook = lambda: None
     return err
 
 
 @pytest.mark.parametrize("make, message", [
-    (_attribute_that_does_not_pickle, "ValueError: no value at the minimum"),
-    (lambda: _TwoArgError("no value at the minimum", 2), "_TwoArgError: no value at the minimum"),
+    (_attribute_that_does_not_pickle, "ValueError: no value at job 1"),
+    (lambda: _TwoArgError("no value at job 1", 2), "_TwoArgError: no value at job 1"),
 ], ids=["pickling-fails", "unpickling-fails"])
-def test_a_worker_exception_that_does_not_pickle_arrives_as_a_clear_error(monkeypatch, make, message):
+def test_a_worker_exception_that_does_not_pickle_arrives_as_a_clear_error(make, message):
     """A worker's exception that fails to pickle, or to unpickle, arrives
     as a RuntimeError naming its type and message, not as a hang."""
 
-    def fn(z):
-        if z[0].coeffs.flat[0] < -2.0:
+    def fn(job):
+        if job == 1:
             raise make()
-        return z[0] * z[1] * z[2]
+        return job
 
-    data, cfg = _split_setup(monkeypatch)
     children = _child_pids()
     full = f"{message} (the worker's exception did not pickle)"
     with pytest.raises(RuntimeError, match=f"^{re.escape(full)}$"):
-        detect(fn, data, cfg)
+        parallel.fork_map(fn, range(3), 2)
     assert _child_pids() == children
-
-
-def test_import_leaves_the_process_pool_unloaded():
-    """Importing xdiff loads no process pool, and neither does a detect
-    split in two shares: its worker is a bare fork."""
-    src = str(Path(xdiff.__file__).resolve().parent.parent)
-    code = (
-        "import sys, xdiff\n"
-        "from xdiff import benchmarks as bm, detect as d\n"
-        "def pools():\n"
-        "    print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process')"
-        " if m in sys.modules))\n"
-        "pools()\n"
-        "d._share_count = lambda jobs, cells: min(jobs, 2)\n"
-        "cfg = d.DetectConfig(max_order=2, representatives=('mean', 'min'))\n"
-        "ranking = d.detect(lambda z: z[0] * z[1], bm.sample_dataset('F4', 50, seed=0), cfg)\n"
-        "print(len(ranking.orders[2]))\n"
-        "pools()\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": src}, timeout=120,
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split("\n") == ["[]", "45", "[]", ""]

@@ -264,7 +264,9 @@ def test_mean_truth_auc_needs_a_scoreable_order():
 
 # --- suite plumbing
 
-def test_pairwise_suite_with_injected_pipeline():
+def test_pairwise_suite_with_injected_pipeline(monkeypatch):
+    # one process: a job forked to a worker would append to its own copy
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     calls = []
 
     def pipeline(fid, seed):
@@ -279,6 +281,25 @@ def test_pairwise_suite_with_injected_pipeline():
     assert calls == [("F8", 5), ("F8", 6), ("F8", 7), ("F10", 5), ("F10", 6), ("F10", 7)]
     assert report.overall_mean() == 1.0
     assert report.rows()[-1] == ("average", 1.0, 0.0)
+
+
+def test_pairwise_suite_is_the_same_on_one_process_and_two(monkeypatch):
+    """Each trial's AUC lands in its (function, trial) slot whichever
+    process ran it: seed s ranks s % 3 false pairs above the true ones."""
+
+    def pipeline(fid, seed):
+        false = [p for p in combinations(range(10), 2) if p not in bm.pairwise_truth(fid)]
+        rows = [(p, 2.0) for p in false[: seed % 3]]
+        rows += [(p, 1.0) for p in sorted(bm.pairwise_truth(fid))]
+        return _ranking({2: rows})
+
+    reports = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: cpus)
+        reports.append(pairwise_suite(functions=("F8", "F10"), trials=3, seed=5, pipeline=pipeline))
+    assert reports[0] == reports[1]
+    for fid, (a5, a6, a7) in reports[0].per_function.items():
+        assert a6 == 1.0 > a7 > a5, fid
 
 
 def test_pairwise_suite_takes_a_one_shot_iterator():

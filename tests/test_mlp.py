@@ -436,6 +436,28 @@ def test_train_config_rejects_a_learning_rate_that_is_not_finite_and_positive(ra
         TrainConfig(learning_rate=rate)
 
 
+@pytest.mark.parametrize("make, field", [
+    (lambda: TrainConfig(batch_size=2.5), "batch_size"),
+    (lambda: TrainConfig(max_epochs=2.5), "max_epochs"),
+    (lambda: TrainConfig(patience=1.5), "patience"),
+    (lambda: MlpConfig(input_dim=10.0), "input_dim"),
+    (lambda: MlpConfig(input_dim=10, output_dim="1"), "output_dim"),
+    (lambda: MlpConfig(input_dim=10, hidden=(8.9,)), "all hidden widths"),
+], ids=["batch_size", "max_epochs", "patience", "input_dim", "output_dim", "hidden"])
+def test_configs_reject_counts_that_are_not_whole_numbers(make, field):
+    with pytest.raises(ValueError, match=f"^{field} must be a whole number, got "):
+        make()
+
+
+def test_configs_store_numpy_integer_counts_as_ints():
+    tcfg = TrainConfig(max_epochs=np.int64(20), patience=np.int32(5), batch_size=np.uint8(50))
+    mcfg = MlpConfig(input_dim=np.int64(4), hidden=[np.int16(8), 3], output_dim=np.int8(2))
+    got = (tcfg.max_epochs, tcfg.patience, tcfg.batch_size, mcfg.input_dim, *mcfg.hidden,
+           mcfg.output_dim)
+    assert got == (20, 5, 50, 4, 8, 3, 2)
+    assert {type(v) for v in got} == {int}
+
+
 def test_mlp_config_validation():
     with pytest.raises(ValueError):
         MlpConfig(input_dim=0)
